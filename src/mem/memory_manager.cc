@@ -477,8 +477,9 @@ TensorId MemoryManager::PickVictimLru() const {
   // at allocation with their pre-swap tick) but are skipped here and reposition on the
   // landing tick bump.
   const TensorRegistry& reg = system_->registry();
+  const std::vector<MemorySystem::LruLinks>& links = system_->lru_links_;
   for (TensorId id = lru_head_; id != kInvalidTensor;
-       id = lru_next_[static_cast<std::size_t>(id)]) {
+       id = links[static_cast<std::size_t>(id)].next) {
     const TensorState& s = reg.state(id);
     if (s.residency == Residency::kResident && s.pin_count == 0) {
       return id;
@@ -733,20 +734,20 @@ void MemoryManager::NoteUsage() {
 // ---- Indexed victim selection maintenance --------------------------------------------------
 
 void MemoryManager::LruLink(TensorId id) {
+  std::vector<MemorySystem::LruLinks>& links = system_->lru_links_;
   const std::size_t idx = static_cast<std::size_t>(id);
-  if (idx >= lru_linked_.size()) {
-    lru_prev_.resize(idx + 1, kInvalidTensor);
-    lru_next_.resize(idx + 1, kInvalidTensor);
-    lru_linked_.resize(idx + 1, 0);
+  if (idx >= links.size()) {
+    links.resize(std::max(idx + 1, static_cast<std::size_t>(system_->registry().size())));
   }
-  HCHECK(lru_linked_[idx] == 0) << "tensor " << id << " double-linked on device "
-                                << device_index_;
-  lru_linked_[idx] = 1;
+  MemorySystem::LruLinks& link = links[idx];
+  HCHECK(link.owner < 0) << "tensor " << id << " linked on device " << device_index_
+                         << " while still linked on device " << link.owner;
+  link.owner = device_index_;
   ++lru_size_;
-  lru_prev_[idx] = lru_tail_;
-  lru_next_[idx] = kInvalidTensor;
+  link.prev = lru_tail_;
+  link.next = kInvalidTensor;
   if (lru_tail_ != kInvalidTensor) {
-    lru_next_[static_cast<std::size_t>(lru_tail_)] = id;
+    links[static_cast<std::size_t>(lru_tail_)].next = id;
   } else {
     lru_head_ = id;
   }
@@ -754,23 +755,23 @@ void MemoryManager::LruLink(TensorId id) {
 }
 
 void MemoryManager::LruUnlink(TensorId id) {
+  std::vector<MemorySystem::LruLinks>& links = system_->lru_links_;
   const std::size_t idx = static_cast<std::size_t>(id);
-  HCHECK(idx < lru_linked_.size() && lru_linked_[idx] != 0)
+  HCHECK(idx < links.size() && links[idx].owner == device_index_)
       << "eviction index out of sync: tensor " << id << " not linked on device "
       << device_index_;
-  lru_linked_[idx] = 0;
+  MemorySystem::LruLinks& link = links[idx];
+  link.owner = -1;
   --lru_size_;
-  const TensorId prev = lru_prev_[idx];
-  const TensorId next = lru_next_[idx];
-  if (prev != kInvalidTensor) {
-    lru_next_[static_cast<std::size_t>(prev)] = next;
+  if (link.prev != kInvalidTensor) {
+    links[static_cast<std::size_t>(link.prev)].next = link.next;
   } else {
-    lru_head_ = next;
+    lru_head_ = link.next;
   }
-  if (next != kInvalidTensor) {
-    lru_prev_[static_cast<std::size_t>(next)] = prev;
+  if (link.next != kInvalidTensor) {
+    links[static_cast<std::size_t>(link.next)].prev = link.prev;
   } else {
-    lru_tail_ = prev;
+    lru_tail_ = link.prev;
   }
 }
 
@@ -830,17 +831,24 @@ std::string MemoryManager::DebugCheckIndexConsistency() const {
            std::to_string(lru_size_) + " != resident_ size " +
            std::to_string(resident_.size());
   }
-  // Walk the list: every member must be tracked in resident_, and kResident members must
-  // appear in strictly ascending lru_tick order (the PickVictimLru correctness invariant).
+  // Walk the list: every member must be owned by this device and tracked in resident_, and
+  // kResident members must appear in strictly ascending lru_tick order (the PickVictimLru
+  // correctness invariant).
+  const std::vector<MemorySystem::LruLinks>& links = system_->lru_links_;
   std::size_t walked = 0;
   std::uint64_t last_resident_tick = 0;
   TensorId prev = kInvalidTensor;
   for (TensorId id = lru_head_; id != kInvalidTensor;
-       id = lru_next_[static_cast<std::size_t>(id)]) {
+       id = links[static_cast<std::size_t>(id)].next) {
     if (++walked > lru_size_) {
       return "device " + std::to_string(device_index_) + ": LRU list is cyclic";
     }
-    if (lru_prev_[static_cast<std::size_t>(id)] != prev) {
+    if (links[static_cast<std::size_t>(id)].owner != device_index_) {
+      return "device " + std::to_string(device_index_) + ": LRU member " +
+             std::to_string(id) + " is owned by device " +
+             std::to_string(links[static_cast<std::size_t>(id)].owner);
+    }
+    if (links[static_cast<std::size_t>(id)].prev != prev) {
       return "device " + std::to_string(device_index_) + ": LRU back-link of tensor " +
              std::to_string(id) + " is broken";
     }
@@ -870,7 +878,7 @@ std::string MemoryManager::DebugCheckIndexConsistency() const {
              std::to_string(id) + " claims device " + std::to_string(s.device);
     }
     const std::size_t idx = static_cast<std::size_t>(id);
-    if (idx >= lru_linked_.size() || lru_linked_[idx] == 0) {
+    if (idx >= links.size() || links[idx].owner != device_index_) {
       return "device " + std::to_string(device_index_) + ": resident tensor " +
              std::to_string(id) + " missing from the LRU list";
     }
@@ -971,13 +979,6 @@ void MemorySystem::SetNextUseOracle(NextUseFn oracle) {
   }
 }
 
-void MemorySystem::SchedulePumpAll() {
-  for (char& d : dirty_) {
-    d = 1;
-  }
-  EnsurePumpScheduled();
-}
-
 void MemorySystem::SchedulePump(int device) {
   MarkDeviceDirty(device);
   EnsurePumpScheduled();
@@ -988,32 +989,21 @@ void MemorySystem::MarkDeviceDirty(int device) {
 }
 
 void MemorySystem::MarkTensorWaiter(TensorId id, int device) {
-  if (num_devices() > 64) {
-    return;  // bitmask overflow: WakeTensorWaiters falls back to waking everyone
+  std::vector<int>& waiters = tensor_waiters_[id];
+  if (std::find(waiters.begin(), waiters.end(), device) == waiters.end()) {
+    waiters.push_back(device);
   }
-  const std::size_t idx = static_cast<std::size_t>(id);
-  if (idx >= tensor_waiters_.size()) {
-    tensor_waiters_.resize(idx + 1, 0);
-  }
-  tensor_waiters_[idx] |= std::uint64_t{1} << static_cast<unsigned>(device);
 }
 
 void MemorySystem::WakeTensorWaiters(TensorId id) {
-  if (num_devices() > 64) {
-    SchedulePumpAll();
+  const auto it = tensor_waiters_.find(id);
+  if (it == tensor_waiters_.end()) {
     return;
   }
-  const std::size_t idx = static_cast<std::size_t>(id);
-  if (idx >= tensor_waiters_.size() || tensor_waiters_[idx] == 0) {
-    return;
+  for (int device : it->second) {
+    SchedulePump(device);
   }
-  std::uint64_t mask = tensor_waiters_[idx];
-  tensor_waiters_[idx] = 0;
-  for (int d = 0; mask != 0; ++d, mask >>= 1) {
-    if ((mask & 1) != 0) {
-      SchedulePump(d);
-    }
-  }
+  tensor_waiters_.erase(it);
 }
 
 void MemorySystem::NoteTickChanged(TensorId id) {

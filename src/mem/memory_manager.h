@@ -23,6 +23,7 @@
 #include <queue>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -120,11 +121,12 @@ class MemorySystem;
 
 // Next-use oracle for lookahead eviction: returns the position (monotone per device) of the
 // next task on `device` that touches `tensor`, or a huge sentinel when it is never used
-// again. Installed by the engine, which knows the plan. The indexed eviction fast path
-// assumes a distance only changes while the tensor is pinned or off-device (true for any
-// plan-derived oracle: a device advances past a use only while the using task holds its
-// pins, and the release tick-bump refreshes the key). Oracles that drift outside that
-// contract stay correct but pay a heap rebuild per drifting victim pick.
+// again. Installed by the engine, which knows the plan, when the policy is kLookahead (LRU
+// never consults it). The indexed eviction fast path assumes a distance only changes while
+// the tensor is pinned or off-device (true for any plan-derived oracle: a device advances
+// past a use only while the using task holds its pins, and the release tick-bump refreshes
+// the key). Oracles that drift outside that contract stay correct but pay a heap rebuild
+// per drifting victim pick.
 using NextUseFn = std::function<std::uint64_t(TensorId tensor, int device)>;
 
 class MemoryManager {
@@ -254,8 +256,9 @@ class MemoryManager {
   void IndexAdd(TensorId id);
   void IndexRemove(TensorId id);
   void IndexTickChange(TensorId id);
-  // Intrusive-list primitives: O(1), allocation-free (tick bumps are the hot path — the
-  // tuner sweep does ~14 of them per eviction).
+  // Intrusive-list primitives over the system's shared link table: O(1), and allocation-free
+  // once the table covers the registry (tick bumps are the hot path — the tuner sweep does
+  // ~14 of them per eviction).
   void LruLink(TensorId id);    // append at the tail (the fresh-tick end)
   void LruUnlink(TensorId id);
   // Pushes a fresh lookahead key for `id` (no-op unless the policy is kLookahead, an oracle
@@ -269,8 +272,9 @@ class MemoryManager {
   TensorId PickVictimByScan(const NextUseFn& oracle, bool lookahead) const;
 
  public:
-  // Returns "" when the LRU list exactly mirrors resident_ (size, membership, ascending
-  // ticks among kResident members), else a description of the first divergence. Test hook.
+  // Returns "" when the LRU list exactly mirrors resident_ (size, membership and owner in
+  // the shared link table, ascending ticks among kResident members), else a description of
+  // the first divergence. Test hook.
   std::string DebugCheckIndexConsistency() const;
 
  private:
@@ -289,15 +293,14 @@ class MemoryManager {
   int evictions_in_flight_ = 0;
   AcquireHandle next_handle_ = 1;
 
-  // Intrusive doubly-linked LRU list over exactly the members of resident_. Every lru_tick
-  // bump assigns a fresh global maximum (NextLruTick is a global monotone counter) and
-  // moves the tensor to the tail, so kResident members always sit in ascending-tick order
-  // and the head-side walk in PickVictimLru finds the reference scan's min-tick pick.
-  // kSwappingIn members may be linked out of tick order (they join with a pre-assigned
-  // tick), but they are never candidates and land with a tick bump that repositions them.
-  std::vector<TensorId> lru_prev_;   // indexed by tensor id; kInvalidTensor = list end
-  std::vector<TensorId> lru_next_;
-  std::vector<char> lru_linked_;     // membership guard for the index invariants
+  // Intrusive doubly-linked LRU list over exactly the members of resident_; its links live
+  // in the system's shared table (MemorySystem::lru_links_), so this manager holds only the
+  // ends. Every lru_tick bump assigns a fresh global maximum (NextLruTick is a global
+  // monotone counter) and moves the tensor to the tail, so kResident members always sit in
+  // ascending-tick order and the head-side walk in PickVictimLru finds the reference scan's
+  // min-tick pick. kSwappingIn members may be linked out of tick order (they join with a
+  // pre-assigned tick), but they are never candidates and land with a tick bump that
+  // repositions them.
   TensorId lru_head_ = kInvalidTensor;
   TensorId lru_tail_ = kInvalidTensor;
   std::size_t lru_size_ = 0;
@@ -331,11 +334,6 @@ class MemorySystem {
   using NextUseFn = harmony::NextUseFn;
   void SetNextUseOracle(NextUseFn oracle);
   const NextUseFn& next_use_oracle() const { return next_use_; }
-
-  // Coalesced "something changed, re-examine pending requests on every device" signal.
-  // Internally the system tracks a per-device dirty set, so only managers whose state
-  // actually changed get pumped; this entry point conservatively marks all of them.
-  void SchedulePumpAll();
 
   // Victim-selection audit: cross-check every indexed pick against the reference scan
   // (fatal on divergence). For randomized churn tests; too slow for benches.
@@ -391,7 +389,7 @@ class MemorySystem {
   void SchedulePump(int device);
   void MarkDeviceDirty(int device);
   // Devices that saw a tensor in flight while pumping record themselves as waiters; the
-  // transfer's completion wakes exactly those devices (all of them past 64 GPUs).
+  // transfer's completion wakes exactly those devices, at any machine size.
   void MarkTensorWaiter(TensorId id, int device);
   void WakeTensorWaiters(TensorId id);
   // Routes an lru_tick change to the owning manager's indexes and marks it dirty.
@@ -417,8 +415,20 @@ class MemorySystem {
   NextUseFn next_use_;
   std::vector<std::unique_ptr<OneShotEvent>> events_;
   bool pump_scheduled_ = false;
-  std::vector<char> dirty_;                     // per-device "pump me" bits
-  std::vector<std::uint64_t> tensor_waiters_;   // per-tensor bitmask of waiting devices
+  std::vector<char> dirty_;  // per-device "pump me" bits
+  // Waiting devices per in-flight tensor; only tensors that have waiters hold an entry.
+  std::unordered_map<TensorId, std::vector<int>> tensor_waiters_;
+  // Links of every manager's LRU list, indexed by TensorId. One table serves the whole
+  // machine because a tensor's allocation lives on at most one device, so a tensor sits on
+  // at most one list; `owner` names that device (-1 = unlinked) and guards the index
+  // invariants. Sized to the registry on first use, so it grows with the tensors, not with
+  // devices x tensors.
+  struct LruLinks {
+    TensorId prev = kInvalidTensor;  // kInvalidTensor = list end
+    TensorId next = kInvalidTensor;
+    int owner = -1;
+  };
+  std::vector<LruLinks> lru_links_;
   bool audit_eviction_ = false;
   bool reference_scan_eviction_ = false;
 

@@ -18,6 +18,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/graph/task.h"
@@ -150,9 +151,9 @@ class Engine {
   Snapshot last_snapshot_;
   double last_iteration_end_ = 0.0;
 
-  // Per device: each tensor's ascending queue positions with a monotone cursor (the
-  // lookahead-eviction oracle answers in O(1) amortized; see next_use.h).
-  std::vector<NextUseIndex> next_use_index_;
+  // Every device's use positions per tensor, with monotone cursors (the lookahead-eviction
+  // oracle answers in O(1) amortized; see next_use.h). Built only under lookahead eviction.
+  std::optional<NextUseIndex> next_use_index_;
 
   std::vector<double> device_busy_;
 

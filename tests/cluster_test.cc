@@ -25,6 +25,9 @@
 #include "src/core/session.h"
 #include "src/graph/model_zoo.h"
 #include "src/hw/cluster_spec.h"
+#include "src/mem/memory_manager.h"
+#include "src/runtime/collective.h"
+#include "src/runtime/engine.h"
 #include "src/runtime/metrics.h"
 #include "src/runtime/plan_lint.h"
 #include "src/runtime/report_io.h"
@@ -155,6 +158,75 @@ TEST(ClusterConservation, SingleNodeRunsKeepLegacyReportShape) {
   const SessionResult result = RunTraining(model, config);
   EXPECT_TRUE(result.report.tiers.empty());
   EXPECT_EQ(ReportToJson(result.report).find("\"tiers\""), std::string::npos);
+}
+
+// Past 64 GPUs under swapping. Waiting devices are tracked per in-flight tensor at any
+// fleet size (there is no 64-device mask and no wake-everyone fallback), and the LRU links
+// live in one machine-wide table. 33 nodes x 2 GPUs = 66 GPUs, run on a hand-built stack
+// so every device's eviction index can be inspected after the run, with audit mode
+// cross-checking each victim pick against the reference scan. In Harmony-PP, devices
+// wait on tensors in flight to or from a neighbouring stage, and a device that is never
+// woken deadlocks the run; without p2p those fetches are staged through host memory.
+// Harmony-DP is the fleet ladder's shape.
+TEST(ClusterConservation, SwapBoundFleetPast64GpusAuditsCleanUnderLruAndLookahead) {
+  const Model model = FaultModel();
+  struct Case {
+    Scheme scheme;
+    bool p2p;
+  };
+  for (const Case c : {Case{Scheme::kHarmonyPp, true}, Case{Scheme::kHarmonyPp, false},
+                       Case{Scheme::kHarmonyDp, true}}) {
+    for (const bool lookahead : {false, true}) {
+      const Scheme scheme = c.scheme;
+      SessionConfig config = SmallCluster(33, 2, scheme);
+      config.p2p = c.p2p;
+      config.lookahead_eviction = lookahead;
+      config.audit_eviction = true;
+      ASSERT_TRUE(ValidateSessionConfig(model, config).ok());
+      const Machine machine = MakeSessionMachine(config);
+      ASSERT_EQ(machine.num_gpus(), 66);
+      Simulator sim;
+      TransferManager transfers(&sim, &machine.topology);
+      TensorRegistry registry;
+      const Plan plan = BuildPlanForConfig(model, machine, &registry, config);
+      MemoryPolicy policy = DefaultPolicyFor(config.scheme, config.p2p);
+      if (lookahead) {
+        policy.eviction = EvictionPolicy::kLookahead;
+      }
+      std::vector<Bytes> capacities;
+      for (const GpuSpec& gpu : machine.gpus) {
+        capacities.push_back(gpu.memory_bytes);
+      }
+      MemorySystem memory(&sim, &transfers, &registry, &machine.topology, capacities, policy);
+      memory.set_audit_eviction(true);
+      CollectiveEngine collective(&sim, &transfers);
+      EngineOptions options;
+      options.prefetch = config.prefetch;
+      Engine engine(&sim, &machine, &memory, &transfers, &collective, &plan, options);
+      const RunReport report = engine.Run();
+
+      const std::string where = std::string(SchemeName(scheme)) +
+                                (c.p2p ? " p2p" : " staged") +
+                                (lookahead ? " lookahead" : " lru");
+      ASSERT_FALSE(report.failed) << where;
+      ASSERT_EQ(report.num_devices(), 66) << where;
+      std::int64_t evictions = 0;
+      for (int d = 0; d < report.num_devices(); ++d) {
+        const double total = report.device_time[static_cast<std::size_t>(d)].total();
+        EXPECT_NEAR(total, report.makespan, 1e-6 * report.makespan)
+            << where << " device " << d << " wall-clock decomposition leaks time";
+        EXPECT_EQ(memory.manager(d).DebugCheckIndexConsistency(), "") << where;
+        evictions += memory.manager(d).counters().evictions;
+      }
+      EXPECT_GT(evictions, 0) << where << " is not swap-bound";
+      if (!c.p2p) {
+        const std::vector<ChurnEvent>& log = memory.churn_audit_log();
+        EXPECT_TRUE(std::any_of(log.begin(), log.end(), [](const ChurnEvent& e) {
+          return e.kind == ChurnKind::kPeerStageWriteBack;
+        })) << where << " staged no cross-device fetch";
+      }
+    }
+  }
 }
 
 // ---- 3. hierarchical linter mutation testing --------------------------------------------------

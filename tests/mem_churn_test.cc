@@ -36,10 +36,10 @@ constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 // (including kNever, which combines with clean tensors into free-drop entries).
 MemorySystem::NextUseFn StaticOracle() {
   return [](TensorId tensor, int device) -> std::uint64_t {
-    std::uint64_t h = static_cast<std::uint64_t>(tensor) * 0x9E3779B97F4A7C15ull +
-                      static_cast<std::uint64_t>(device) * 0xBF58476D1CE4E5B9ull;
+    std::uint64_t h = static_cast<std::uint64_t>(tensor) * std::uint64_t{0x9E3779B97F4A7C15} +
+                      static_cast<std::uint64_t>(device) * std::uint64_t{0xBF58476D1CE4E5B9};
     h ^= h >> 31;
-    h *= 0x94D049BB133111EBull;
+    h *= std::uint64_t{0x94D049BB133111EB};
     h ^= h >> 27;
     if (h % 5 == 0) {
       return kNever;
@@ -79,7 +79,7 @@ void ExpectIndexesConsistent(const MemorySystem& system) {
 class EvictionChurnTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(EvictionChurnTest, IndexedVictimMatchesReferenceScanUnderRandomChurn) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761ull + 11);
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * std::uint64_t{2654435761} + 11);
 
   MemoryPolicy policy;
   policy.write_back_clean = rng.NextBounded(2) == 0;
@@ -355,41 +355,127 @@ TEST(IndexRegressionTest, CheckQuiescentReportsLeakedCancelledHandles) {
 // ---- NextUseIndex (the engine's O(1) amortized oracle substrate) --------------------------
 
 TEST(NextUseIndexTest, CursorAnswersMatchDefinition) {
-  NextUseIndex index;
+  NextUseIndex index(/*num_devices=*/1);
   const TensorId t = 3;
-  index.AddUse(t, 2);
-  index.AddUse(t, 5);
-  index.AddUse(t, 5);  // duplicate positions are legal (two tasks at one queue slot)
-  index.AddUse(t, 9);
-  EXPECT_EQ(index.NextUseAtOrAfter(t, 0), 2u);
-  EXPECT_EQ(index.NextUseAtOrAfter(t, 2), 2u);
-  EXPECT_EQ(index.NextUseAtOrAfter(t, 3), 5u);
-  EXPECT_EQ(index.NextUseAtOrAfter(t, 6), 9u);
-  EXPECT_EQ(index.NextUseAtOrAfter(t, 10), NextUseIndex::kNever);
+  index.AddUse(t, 0, 2);
+  index.AddUse(t, 0, 5);
+  index.AddUse(t, 0, 5);  // duplicate positions are legal (two tasks at one queue slot)
+  index.AddUse(t, 0, 9);
+  index.Finalize();
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 0), 2u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 2), 2u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 3), 5u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 6), 9u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 10), NextUseIndex::kNever);
 }
 
 TEST(NextUseIndexTest, UnknownTensorIsNeverUsed) {
-  NextUseIndex index;
-  index.AddUse(1, 4);
-  EXPECT_EQ(index.NextUseAtOrAfter(7, 0), NextUseIndex::kNever);
-  EXPECT_EQ(index.NextUseAtOrAfter(1, 0), 4u);
+  NextUseIndex index(/*num_devices=*/2);
+  index.AddUse(1, 0, 4);
+  index.Finalize();
+  EXPECT_EQ(index.NextUseAtOrAfter(7, 0, 0), NextUseIndex::kNever);
+  EXPECT_EQ(index.NextUseAtOrAfter(1, 1, 0), NextUseIndex::kNever);  // used, but elsewhere
+  EXPECT_EQ(index.NextUseAtOrAfter(1, 0, 0), 4u);
 }
 
 TEST(NextUseIndexTest, MatchesLowerBoundReferenceUnderMonotoneQueries) {
+  // Three devices sharing 16 tensors, so every row holds one group per device.
+  constexpr int kDevices = 3;
   Rng rng(0xFEED);
-  NextUseIndex index;
-  std::vector<std::vector<std::uint64_t>> reference(16);
-  for (std::uint64_t pos = 0; pos < 500; ++pos) {
-    const TensorId t = static_cast<TensorId>(rng.NextBounded(16));
-    index.AddUse(t, pos);
-    reference[static_cast<std::size_t>(t)].push_back(pos);
+  std::vector<std::vector<std::vector<std::uint64_t>>> reference(
+      kDevices, std::vector<std::vector<std::uint64_t>>(16));
+  NextUseIndex index(kDevices);
+  for (int d = 0; d < kDevices; ++d) {
+    for (std::uint64_t pos = 0; pos < 500; ++pos) {
+      const TensorId t = static_cast<TensorId>(rng.NextBounded(16));
+      index.AddUse(t, d, pos);
+      reference[static_cast<std::size_t>(d)][static_cast<std::size_t>(t)].push_back(pos);
+    }
   }
-  for (std::uint64_t pos = 0; pos <= 500; pos += 1 + rng.NextBounded(7)) {
+  index.Finalize();
+  // Devices advance independently: each has its own query position.
+  std::vector<std::uint64_t> pos(kDevices, 0);
+  while (true) {
+    const int d = static_cast<int>(rng.NextBounded(kDevices));
+    std::uint64_t& p = pos[static_cast<std::size_t>(d)];
+    if (p > 500) {
+      if (std::all_of(pos.begin(), pos.end(), [](std::uint64_t q) { return q > 500; })) {
+        break;
+      }
+      continue;
+    }
     for (TensorId t = 0; t < 16; ++t) {
-      const auto& uses = reference[static_cast<std::size_t>(t)];
-      const auto it = std::lower_bound(uses.begin(), uses.end(), pos);
+      const auto& uses = reference[static_cast<std::size_t>(d)][static_cast<std::size_t>(t)];
+      const auto it = std::lower_bound(uses.begin(), uses.end(), p);
       const std::uint64_t expected = it == uses.end() ? NextUseIndex::kNever : *it;
-      EXPECT_EQ(index.NextUseAtOrAfter(t, pos), expected) << "tensor " << t << " pos " << pos;
+      EXPECT_EQ(index.NextUseAtOrAfter(t, d, p), expected)
+          << "device " << d << " tensor " << t << " pos " << p;
+    }
+    p += 1 + rng.NextBounded(7);
+  }
+}
+
+// The engine's index over a real multi-device lookahead plan answers exactly what a linear
+// scan of plan.per_device_order gives from each device's current position, and its
+// footprint is linear in the plan, not devices x tensors.
+TEST(NextUseIndexTest, PlanIndexMatchesBruteForceScan) {
+  for (const Scheme scheme : {Scheme::kHarmonyPp, Scheme::kHarmonyDp, Scheme::kBaselinePp}) {
+    const Model model = test_models::FaultModel(6);
+    SessionConfig config = test_models::FaultConfig(/*n_gpus=*/4, /*microbatches=*/3);
+    config.scheme = scheme;
+    config.iterations = 2;
+    config.lookahead_eviction = true;
+    const Machine machine = MakeSessionMachine(config);
+    TensorRegistry registry;
+    const Plan plan = BuildPlanForConfig(model, machine, &registry, config);
+    ASSERT_EQ(plan.num_devices(), 4);
+
+    NextUseIndex index = NextUseIndex::ForPlan(plan);
+    std::size_t uses = 0;
+    for (const Task& task : plan.tasks) {
+      uses += task.working_set.fetch.size() + task.working_set.accumulate.size() +
+              task.working_set.allocate.size();
+    }
+    // 12 bytes per group (at most one per use), 4 per position and per row, 8 per device.
+    const std::size_t tensors = static_cast<std::size_t>(registry.size());
+    EXPECT_LE(index.MemoryBytes(), 16 * uses + 4 * (tensors + 1) + 8 * 4)
+        << SchemeName(scheme);
+
+    auto touches = [&](TaskId task_id, TensorId id) {
+      const WorkingSet& ws = plan.tasks[static_cast<std::size_t>(task_id)].working_set;
+      for (const std::vector<TensorId>* ids : {&ws.fetch, &ws.accumulate, &ws.allocate}) {
+        if (std::find(ids->begin(), ids->end(), id) != ids->end()) {
+          return true;
+        }
+      }
+      return false;
+    };
+    // Step the devices round-robin through their queues, the way the engine interleaves
+    // them, asking about every tensor in the registry at each stop.
+    std::vector<std::size_t> pos(4, 0);
+    bool advanced = true;
+    while (advanced) {
+      advanced = false;
+      for (int d = 0; d < 4; ++d) {
+        const std::vector<TaskId>& order = plan.per_device_order[static_cast<std::size_t>(d)];
+        std::size_t& p = pos[static_cast<std::size_t>(d)];
+        if (p > order.size()) {
+          continue;
+        }
+        for (TensorId id = 0; id < registry.size(); ++id) {
+          std::uint64_t expected = NextUseIndex::kNever;
+          for (std::size_t q = p; q < order.size(); ++q) {
+            if (touches(order[q], id)) {
+              expected = q;
+              break;
+            }
+          }
+          ASSERT_EQ(index.NextUseAtOrAfter(id, d, p), expected)
+              << SchemeName(scheme) << " device " << d << " tensor " << id << " pos " << p;
+        }
+        p += 1 + static_cast<std::size_t>(d);  // devices advance at different rates
+        advanced = true;
+      }
     }
   }
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Sanitizer job for the observability layer (DESIGN.md §8).
 #
-# Builds the tree twice — once under ThreadSanitizer, once under UBSan — and runs the
-# test selections that exercise the new instrumentation hot paths:
+# Builds the tree three times — under ThreadSanitizer, UBSan and AddressSanitizer — and
+# runs the test selections that exercise the new instrumentation hot paths:
 #   - `ctest -L trace`  : the observability suite (conservation invariants, churn
 #                         recounts, golden --explain output),
 #   - `ctest -R tuner`  : the tuner, whose ParallelFor profiling now calls Attribute()
@@ -24,10 +24,14 @@
 #                         preemption checkpoint/restore protocol, and per-tenant
 #                         quota enforcement, which nest whole sessions inside an
 #                         outer event stream.
+#   - `ctest -L mem`    : the memory manager and its eviction indexes (ASan job only) —
+#                         the LRU links shared machine-wide, the next-use index and the
+#                         tensor waiter lists are indexed by tensor id, where ASan
+#                         catches a stale or out-of-range index.
 # Pass --full to run the entire ctest suite under each sanitizer instead (slower).
 #
 # Usage: tools/run_sanitizer_suite.sh [--full]
-# Build trees land in build-tsan/ and build-ubsan/ next to the source tree.
+# Build trees land in build-tsan/, build-ubsan/ and build-asan/ next to the source tree.
 set -eu
 
 full=0
@@ -53,10 +57,14 @@ run_one() {
     (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L chaos)
     (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L cluster)
     (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L sched)
+    if [[ $sanitizer == address ]]; then
+      (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L mem)
+    fi
   fi
   echo "==== $sanitizer: clean ===="
 }
 
 run_one thread build-tsan
 run_one undefined build-ubsan
-echo "OK   both sanitizer jobs clean"
+run_one address build-asan
+echo "OK   all three sanitizer jobs clean"
