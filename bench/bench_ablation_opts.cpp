@@ -10,6 +10,7 @@
 // put both heavy layers on one GPU; the LPT packer splits them.
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "src/core/session.h"
 #include "src/core/tuner.h"
@@ -146,7 +147,8 @@ int main() {
   Model skewed("flops-skewed", 8 * kMiB);
   for (int l = 0; l < 8; ++l) {
     Layer layer;
-    layer.name = "L" + std::to_string(l);
+    layer.name = "L";
+    layer.name.append(std::to_string(l));
     layer.kind = LayerKind::kGeneric;
     layer.cost.param_bytes = 16 * kMiB;
     layer.cost.grad_bytes = 16 * kMiB;
@@ -205,7 +207,8 @@ int main() {
   Model mem_skewed("stash-skewed", 8 * kMiB);
   for (int l = 0; l < 8; ++l) {
     Layer layer;
-    layer.name = "L" + std::to_string(l);
+    layer.name = "L";
+    layer.name.append(std::to_string(l));
     layer.kind = LayerKind::kGeneric;
     layer.cost.param_bytes = 16 * kMiB;
     layer.cost.grad_bytes = 16 * kMiB;

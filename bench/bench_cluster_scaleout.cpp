@@ -12,8 +12,7 @@
 //   64 GPUs  =  16 nodes, 8 per rack      (ToR tier engaged)
 //   512 GPUs = 128 nodes, 16 per rack     (8 racks behind the spine)
 // Results go to stdout as a table and to BENCH_cluster.json for tooling. Output is
-// deterministic at any HARMONY_SIM_THREADS setting (the golden-stdout manifest hashes it
-// at 1, 2 and 8).
+// deterministic (the golden-stdout manifest hashes it).
 #include <cstdio>
 #include <iostream>
 #include <string>

@@ -4,6 +4,7 @@
 // stage imbalance the paper plots per GPU index.
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "src/baseline/baseline_pp.h"
 #include "src/core/session.h"
@@ -48,8 +49,10 @@ int main() {
         swap_gb > 1.0 ? "Heavy Swap" : (swap_gb > 0.05 ? "Light Swap" : "No Swap");
     table.Row()
         .Cell("gpu" + std::to_string(g))
-        .Cell("L" + std::to_string(bounds[static_cast<std::size_t>(g)]) + "-L" +
-              std::to_string(bounds[static_cast<std::size_t>(g + 1)] - 1))
+        .Cell(std::string("L")
+                  .append(std::to_string(bounds[static_cast<std::size_t>(g)]))
+                  .append("-L")
+                  .append(std::to_string(bounds[static_cast<std::size_t>(g + 1)] - 1)))
         .Cell(demand_gb, 2)
         .Cell(capacity_gb, 2)
         .Cell(swap_gb, 2)

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/session.h"
@@ -41,35 +42,6 @@ BENCHMARK(BM_SimulatorEventThroughput)
     ->Arg(100000)
     ->Arg(1000000)
     ->Arg(10000000);
-
-// Sharded-core variant (DESIGN.md §10): events spread round-robin over 64 lanes with a
-// conservative lookahead window, at a given worker count. The executed event sequence is
-// identical to the serial run — this measures the cost/benefit of windowed lane draining.
-void BM_SimulatorShardedThroughput(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    Simulator sim;
-    std::vector<SimLane> lanes;
-    for (int l = 0; l < 64; ++l) {
-      lanes.push_back(sim.CreateLane("lane" + std::to_string(l)));
-    }
-    sim.SetParallelism(threads);
-    sim.SetLookahead(8.0);
-    sim.Reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      sim.ScheduleAfter(lanes[static_cast<std::size_t>(i % 64)], static_cast<double>(i % 97),
-                        [] {});
-    }
-    sim.RunUntilIdle();
-    benchmark::DoNotOptimize(sim.now());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SimulatorShardedThroughput)
-    ->Args({1000000, 1})
-    ->Args({1000000, 2})
-    ->Args({1000000, 4});
 
 void BM_AllocatorChurn(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -188,7 +160,9 @@ class EvictionChurnHarness {
     const int population = residents * 2;
     ids_.reserve(static_cast<std::size_t>(population));
     for (int i = 0; i < population; ++i) {
-      ids_.push_back(reg_.Create("t" + std::to_string(i), 256, TensorClass::kActivation,
+      std::string name = "t";
+      name.append(std::to_string(i));
+      ids_.push_back(reg_.Create(std::move(name), 256, TensorClass::kActivation,
                                  /*host_valid=*/true));
     }
     for (int i = 0; i < residents; ++i) {

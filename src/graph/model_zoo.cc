@@ -103,7 +103,8 @@ Model MakeUniformModel(const UniformModelConfig& config) {
   Model model(config.name, config.act_bytes_per_sample);
   for (int l = 0; l < config.num_layers; ++l) {
     Layer layer;
-    layer.name = "L" + std::to_string(l);
+    layer.name = "L";  // appended: `"L" + std::string` trips GCC 12's -Wrestrict
+    layer.name.append(std::to_string(l));
     layer.kind = LayerKind::kGeneric;
     layer.cost.param_bytes = config.param_bytes;
     layer.cost.grad_bytes = config.param_bytes;

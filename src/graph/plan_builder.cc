@@ -1,11 +1,25 @@
 #include "src/graph/plan_builder.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/graph/partition.h"
 #include "src/util/check.h"
 
 namespace harmony {
+namespace {
+
+// "<prefix><layer>mb<microbatch>r<replica>i<iteration>", built by appending: GCC 12 at -O3
+// flags `"literal" + std::string` chains with a false-positive -Wrestrict.
+std::string ActivationName(const char* prefix, int layer, int microbatch, int replica,
+                           int iteration) {
+  std::string name = prefix;
+  name.append(std::to_string(layer)).append("mb").append(std::to_string(microbatch));
+  name.append("r").append(std::to_string(replica)).append("i").append(std::to_string(iteration));
+  return name;
+}
+
+}  // namespace
 
 Status ValidateDecomposerOptions(int num_devices, const DecomposerOptions& options) {
   if (num_devices < 1) {
@@ -116,8 +130,7 @@ TensorId PlanBuilder::Activation(int layer, int microbatch, int replica) {
   }
   const bool is_input = layer == 0;
   const TensorId id = registry_->Create(
-      "X" + std::to_string(layer) + "mb" + std::to_string(microbatch) + "r" +
-          std::to_string(replica) + "i" + std::to_string(iteration_),
+      ActivationName("X", layer, microbatch, replica, iteration_),
       ActBytes(layer), is_input ? TensorClass::kInput : TensorClass::kActivation,
       /*host_valid=*/is_input, layer - 1, microbatch, replica);
   acts_.emplace(key, id);
@@ -132,8 +145,7 @@ TensorId PlanBuilder::ActGrad(int layer, int microbatch, int replica) {
     return it->second;
   }
   const TensorId id = registry_->Create(
-      "dX" + std::to_string(layer) + "mb" + std::to_string(microbatch) + "r" +
-          std::to_string(replica) + "i" + std::to_string(iteration_),
+      ActivationName("dX", layer, microbatch, replica, iteration_),
       ActBytes(layer), TensorClass::kActivationGrad, /*host_valid=*/false, layer - 1,
       microbatch, replica);
   act_grads_.emplace(key, id);
@@ -151,8 +163,7 @@ TensorId PlanBuilder::Stash(int layer, int microbatch, int replica) {
     return it->second;
   }
   const TensorId id = registry_->Create(
-      "S" + std::to_string(layer) + "mb" + std::to_string(microbatch) + "r" +
-          std::to_string(replica) + "i" + std::to_string(iteration_),
+      ActivationName("S", layer, microbatch, replica, iteration_),
       l.cost.stash_bytes_per_sample * options_.microbatch_size, TensorClass::kActivation,
       /*host_valid=*/false, layer, microbatch, replica);
   stashes_.emplace(key, id);

@@ -145,19 +145,6 @@ const std::vector<LinkId>& Topology::Route(NodeId src, NodeId dst) const {
                  static_cast<std::size_t>(dst)];
 }
 
-double Topology::MinLinkLatency() const {
-  HCHECK(finalized_);
-  double min_latency = 0.0;
-  bool first = true;
-  for (const TopologyLink& l : links_) {
-    if (first || l.spec.latency_sec < min_latency) {
-      min_latency = l.spec.latency_sec;
-      first = false;
-    }
-  }
-  return min_latency;
-}
-
 bool Topology::RouteAvoidsHost(NodeId src, NodeId dst) const {
   if (src == dst) {
     return true;
@@ -261,7 +248,8 @@ Topology MakeClusterTopology(const ClusterConfig& config) {
     }
   }
   for (int s = 0; s < config.num_servers; ++s) {
-    const std::string prefix = "n" + std::to_string(s) + ".";
+    std::string prefix = "n";  // appended: `"n" + std::string` trips GCC 12's -Wrestrict
+    prefix.append(std::to_string(s)).append(".");
     const NodeId host = topo.AddNode(NodeKind::kHost, prefix + "host");
     const NodeId nic = topo.AddNode(NodeKind::kNic, prefix + "nic");
     topo.AddDuplexLink(host, nic, config.nic, LinkTier::kNic);

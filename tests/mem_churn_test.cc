@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/session.h"
@@ -95,8 +96,10 @@ TEST_P(EvictionChurnTest, IndexedVictimMatchesReferenceScanUnderRandomChurn) {
   std::vector<TensorId> alive;
   for (int i = 0; i < 20; ++i) {
     const Bytes bytes = 64 + static_cast<Bytes>(rng.NextBounded(1437));  // aligns to ≤ 1536
-    alive.push_back(h.reg_.Create("t" + std::to_string(i), bytes,
-                                   TensorClass::kActivation, /*host_valid=*/true));
+    std::string name = "t";
+    name.append(std::to_string(i));
+    alive.push_back(h.reg_.Create(std::move(name), bytes, TensorClass::kActivation,
+                                   /*host_valid=*/true));
   }
 
   struct HeldSet {

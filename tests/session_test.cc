@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "src/core/packer.h"
 #include "src/core/schedule_render.h"
@@ -323,7 +325,9 @@ TEST(LookaheadEvictionTest, BeatsLruOnCyclicAccess) {
     MemorySystem system(&sim, &tm, &reg, &topo, {(kTensors - 1) * 256}, policy);
     std::vector<TensorId> ids;
     for (int t = 0; t < kTensors; ++t) {
-      ids.push_back(reg.Create("T" + std::to_string(t), 256, TensorClass::kWeight, true));
+      std::string name = "T";
+      name.append(std::to_string(t));
+      ids.push_back(reg.Create(std::move(name), 256, TensorClass::kWeight, true));
     }
     // Oracle: next use of tensor t from access step `now` in the cyclic schedule.
     std::uint64_t now_step = 0;

@@ -51,6 +51,8 @@ expect_reject "expects an integer" --retry_max=lots
 expect_reject "expects a finite number" --retry_base=slow
 expect_reject "expects an integer" --ckpt_keep=all
 expect_reject "expects a finite number" --straggler_threshold=high
+# A removed flag is rejected like any unknown flag, never silently ignored.
+expect_reject "unknown flag --sim_threads" --sim_threads=2
 
 # Cluster topology flags: individual knobs go through the checked accessors, and the
 # --cluster spec grammar rejects with the byte offset of the offending field.

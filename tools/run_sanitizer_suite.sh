@@ -1,26 +1,30 @@
 #!/usr/bin/env bash
-# Sanitizer job for the observability layer (DESIGN.md §8).
+# Sanitizer job for the simulator (DESIGN.md §8).
 #
 # Builds the tree three times — under ThreadSanitizer, UBSan and AddressSanitizer — and
-# runs the test selections that exercise the new instrumentation hot paths:
+# runs the same test selections under each. The simulator core is serial (DESIGN.md §10),
+# so TSan guards the util/ThreadPool users — the tuner's parallel sweep — while UBSan and
+# ASan guard the index-heavy single-threaded paths:
 #   - `ctest -L trace`  : the observability suite (conservation invariants, churn
 #                         recounts, golden --explain output),
-#   - `ctest -R tuner`  : the tuner, whose ParallelFor profiling now calls Attribute()
-#                         concurrently from worker threads (the one genuinely
-#                         multi-threaded consumer of the span/report machinery),
+#   - `ctest -R tuner`  : the tuner, whose ParallelFor profiling calls Attribute()
+#                         concurrently from worker threads (the one multi-threaded
+#                         consumer of the span/report machinery, and TSan's target),
 #   - `ctest -L lint`   : the static plan linter (DESIGN.md §9), whose bitset
 #                         reachability and access-map passes index heavily into
 #                         per-task state — exactly where UBSan catches drift.
+#   - `ctest -L simcore`: the event queue and its arena (bucket chains, slab indices,
+#                         re-entrant scheduling) plus the golden-regime repeat-run
+#                         determinism check.
 #   - `ctest -L chaos`  : the degraded-mode resilience suite + chaos harness
 #                         (DESIGN.md §11) — retry re-issue on the simulator clock and
-#                         the elastic coordinator under seeded random fault plans at
-#                         several thread counts, the newest multi-threaded hot path.
+#                         the elastic coordinator under seeded random fault plans,
+#                         each run twice and compared byte-for-byte.
 #   - `ctest -L cluster`: the multi-server scale-out tier (DESIGN.md §12) — the
-#                         determinism grid across node counts and sim_threads, tier
-#                         conservation, and the hierarchical-linter mutation suite,
-#                         whose NIC/ToR event lanes are the newest parallel surface.
+#                         repeat-run determinism grid across node counts, tier
+#                         conservation, and the hierarchical-linter mutation suite.
 #   - `ctest -L sched`  : the multi-tenant cluster scheduler (DESIGN.md §13) — the
-#                         trace × policy × sim_threads determinism grid, the
+#                         trace × policy repeat-run determinism grid, the
 #                         preemption checkpoint/restore protocol, and per-tenant
 #                         quota enforcement, which nest whole sessions inside an
 #                         outer event stream.
