@@ -7,18 +7,11 @@
 namespace harmony {
 
 Plan BuildBaselineDpPlan(const Model& model, const Machine& machine, TensorRegistry* registry,
-                         const BaselineDpOptions& options) {
+                         const PlanOptions& options) {
   const int N = machine.num_gpus();
   const int R = model.num_layers();
-  const int m = options.microbatches_per_gpu;
-
-  DecomposerOptions decomp;
-  decomp.num_replicas = N;
-  decomp.microbatches = m;
-  decomp.microbatch_size = options.microbatch_size;
-  decomp.iterations = options.iterations;
-  decomp.recompute = options.recompute;
-  PlanBuilder builder(&model, registry, N, decomp);
+  const int m = options.microbatches;  // per GPU
+  PlanBuilder builder(&model, registry, N, options, /*num_replicas=*/N);
 
   int next_group = 0;
   for (int it = 0; it < options.iterations; ++it) {

@@ -19,15 +19,8 @@
 
 namespace harmony {
 
-struct BaselineDpOptions {
-  int microbatches_per_gpu = 1;
-  int microbatch_size = 1;
-  int iterations = 2;
-  bool recompute = false;
-};
-
 Plan BuildBaselineDpPlan(const Model& model, const Machine& machine, TensorRegistry* registry,
-                         const BaselineDpOptions& options);
+                         const PlanOptions& options);
 
 }  // namespace harmony
 

@@ -18,7 +18,7 @@ std::vector<int> BaselinePpStageBoundaries(const Model& model, int num_stages) {
 }
 
 Plan BuildBaselinePpPlan(const Model& model, const Machine& machine, TensorRegistry* registry,
-                         const BaselinePpOptions& options) {
+                         const PlanOptions& options) {
   const int S = machine.num_gpus();  // one stage per GPU
   const int M = options.microbatches;
   const std::vector<int> bounds = BaselinePpStageBoundaries(model, S);
@@ -27,13 +27,7 @@ Plan BuildBaselinePpPlan(const Model& model, const Machine& machine, TensorRegis
         << "empty pipeline stage " << s << " (more GPUs than layers?)";
   }
 
-  DecomposerOptions decomp;
-  decomp.num_replicas = 1;
-  decomp.microbatches = M;
-  decomp.microbatch_size = options.microbatch_size;
-  decomp.iterations = options.iterations;
-  decomp.recompute = options.recompute;
-  PlanBuilder builder(&model, registry, S, decomp);
+  PlanBuilder builder(&model, registry, S, options);
 
   for (int it = 0; it < options.iterations; ++it) {
     builder.BeginIteration(it);

@@ -19,15 +19,8 @@
 
 namespace harmony {
 
-struct BaselinePpOptions {
-  int microbatches = 4;  // whole-minibatch microbatch count
-  int microbatch_size = 1;
-  int iterations = 2;
-  bool recompute = false;
-};
-
 Plan BuildBaselinePpPlan(const Model& model, const Machine& machine, TensorRegistry* registry,
-                         const BaselinePpOptions& options);
+                         const PlanOptions& options);
 
 // The stage boundaries the baseline uses (compute-balanced contiguous partition); exposed
 // so benches can report per-stage memory demand.

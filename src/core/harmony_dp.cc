@@ -8,18 +8,11 @@
 namespace harmony {
 
 Plan BuildHarmonyDpPlan(const Model& model, const Machine& machine, TensorRegistry* registry,
-                        const HarmonyDpOptions& options) {
+                        const PlanOptions& options) {
   const int N = machine.num_gpus();
   const int R = model.num_layers();
-  const int m = options.microbatches_per_gpu;
-
-  DecomposerOptions decomp;
-  decomp.num_replicas = N;
-  decomp.microbatches = m;
-  decomp.microbatch_size = options.microbatch_size;
-  decomp.iterations = options.iterations;
-  decomp.recompute = options.recompute;
-  PlanBuilder builder(&model, registry, N, decomp);
+  const int m = options.microbatches;  // per GPU
+  PlanBuilder builder(&model, registry, N, options, /*num_replicas=*/N);
 
   int next_group = 0;
   for (int it = 0; it < options.iterations; ++it) {
@@ -49,7 +42,7 @@ Plan BuildHarmonyDpPlan(const Model& model, const Machine& machine, TensorRegist
            [static_cast<std::size_t>(mb)] =
                builder.AddForward(g, l, l + 1, mb, g, std::move(deps));
       };
-      if (options.input_batch_grouping) {
+      if (options.grouping) {
         for (int l = 0; l < R; ++l) {
           for (int mb = 0; mb < m; ++mb) {
             emit_fwd(l, mb);
@@ -102,7 +95,7 @@ Plan BuildHarmonyDpPlan(const Model& model, const Machine& machine, TensorRegist
       }
     };
 
-    if (options.input_batch_grouping) {
+    if (options.grouping) {
       for (int l = R - 1; l >= 0; --l) {
         for (int g = 0; g < N; ++g) {
           for (int mb = 0; mb < m; ++mb) {

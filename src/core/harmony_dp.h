@@ -2,7 +2,7 @@
 // just-in-time weight updates (Sec. 3 of the paper).
 //
 // Differences from the baseline DP schedule, knob by knob:
-//   - input_batch_grouping: forward/backward run layer-major ("run layer l across the whole
+//   - grouping: forward/backward run layer-major ("run layer l across the whole
 //     group of m microbatches back-to-back"), so each weight tensor is swapped in once per
 //     pass instead of once per microbatch;
 //   - jit_updates: the all-reduce and optimizer step for layer l run immediately after the
@@ -13,23 +13,15 @@
 #define HARMONY_SRC_CORE_HARMONY_DP_H_
 
 #include "src/graph/model.h"
+#include "src/graph/plan_builder.h"
 #include "src/graph/task.h"
 #include "src/hw/topology.h"
 #include "src/mem/tensor.h"
 
 namespace harmony {
 
-struct HarmonyDpOptions {
-  int microbatches_per_gpu = 1;
-  int microbatch_size = 1;
-  int iterations = 2;
-  bool input_batch_grouping = true;
-  bool jit_updates = true;
-  bool recompute = false;
-};
-
 Plan BuildHarmonyDpPlan(const Model& model, const Machine& machine, TensorRegistry* registry,
-                        const HarmonyDpOptions& options);
+                        const PlanOptions& options);
 
 }  // namespace harmony
 

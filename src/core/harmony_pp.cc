@@ -9,7 +9,7 @@
 namespace harmony {
 
 Plan BuildHarmonyPpPlan(const Model& model, const Machine& machine, TensorRegistry* registry,
-                        const HarmonyPpOptions& options) {
+                        const PlanOptions& options) {
   const int N = machine.num_gpus();
   const int M = options.microbatches;
   const std::vector<int> packs = MakePackBoundaries(model.num_layers(), options.pack_size);
@@ -49,17 +49,11 @@ Plan BuildHarmonyPpPlan(const Model& model, const Machine& machine, TensorRegist
     device_of = AssignPacksRoundRobin(P, N);
   }
 
-  DecomposerOptions decomp;
-  decomp.num_replicas = 1;
-  decomp.microbatches = M;
-  decomp.microbatch_size = options.microbatch_size;
-  decomp.iterations = options.iterations;
-  decomp.recompute = options.recompute;
-  PlanBuilder builder(&model, registry, N, decomp);
+  PlanBuilder builder(&model, registry, N, options);
 
   // Effective input-batch group size: the whole minibatch by default, 1 when grouping is
   // disabled (every microbatch is its own wavefront, classic fine-grained pipelining).
-  int group = options.input_batch_grouping
+  int group = options.grouping
                   ? (options.group_size > 0 ? std::min(options.group_size, M) : M)
                   : 1;
 

@@ -14,30 +14,15 @@
 #include <vector>
 
 #include "src/graph/model.h"
+#include "src/graph/plan_builder.h"
 #include "src/graph/task.h"
 #include "src/hw/topology.h"
 #include "src/mem/tensor.h"
 
 namespace harmony {
 
-struct HarmonyPpOptions {
-  int microbatches = 4;  // whole-minibatch microbatch count
-  int microbatch_size = 1;
-  int iterations = 2;
-  int pack_size = 1;  // layers per pack (the "memory-performance tango" knob)
-  bool input_batch_grouping = true;
-  // Microbatches per input-batch group when grouping is on; 0 means the whole minibatch.
-  // Small groups pipeline better (a pack yields the device after `group_size` microbatches),
-  // large groups amortize weight swaps across more microbatches — the second axis of the
-  // memory-performance tango.
-  int group_size = 0;
-  bool jit_updates = true;
-  bool balanced_packing = false;  // profile-balanced instead of round-robin pack placement
-  bool recompute = false;
-};
-
 Plan BuildHarmonyPpPlan(const Model& model, const Machine& machine, TensorRegistry* registry,
-                        const HarmonyPpOptions& options);
+                        const PlanOptions& options);
 
 }  // namespace harmony
 

@@ -8,19 +8,13 @@
 namespace harmony {
 
 Plan BuildHarmonyTpPlan(const Model& model, const Machine& machine, TensorRegistry* registry,
-                        const HarmonyTpOptions& options) {
+                        const PlanOptions& options) {
   const int N = machine.num_gpus();
   const int R = model.num_layers();
   const int M = options.microbatches;
 
-  DecomposerOptions decomp;
-  decomp.num_replicas = N;  // replica index == shard index
-  decomp.microbatches = M;
-  decomp.microbatch_size = options.microbatch_size;
-  decomp.iterations = options.iterations;
-  decomp.recompute = options.recompute;
-  decomp.weight_shards = N;
-  PlanBuilder builder(&model, registry, N, decomp);
+  // Replica index == shard index.
+  PlanBuilder builder(&model, registry, N, options, /*num_replicas=*/N, /*weight_shards=*/N);
   // All shards process the *same* microbatches; the decomposer's default sample accounting
   // (replicas x microbatches) would overcount by N.
 
@@ -59,7 +53,7 @@ Plan BuildHarmonyTpPlan(const Model& model, const Machine& machine, TensorRegist
                     {fwd_ids[static_cast<std::size_t>(d)]});
       }
     };
-    if (options.input_batch_grouping) {
+    if (options.grouping) {
       for (int l = 0; l < R; ++l) {
         for (int mb = 0; mb < M; ++mb) {
           emit_fwd_wave(l, mb);
@@ -114,11 +108,11 @@ Plan BuildHarmonyTpPlan(const Model& model, const Machine& machine, TensorRegist
         builder.AddUpdate(d, l, l + 1, d,
                           {bwd_sync[static_cast<std::size_t>(d)][static_cast<std::size_t>(l)]
                                    [static_cast<std::size_t>(
-                                       options.input_batch_grouping ? 0 : M - 1)]});
+                                       options.grouping ? 0 : M - 1)]});
       }
     };
 
-    if (options.input_batch_grouping) {
+    if (options.grouping) {
       for (int l = R - 1; l >= 0; --l) {
         for (int mb = M - 1; mb >= 0; --mb) {
           emit_bwd_wave(l, mb);

@@ -16,23 +16,15 @@
 #define HARMONY_SRC_CORE_HARMONY_TP_H_
 
 #include "src/graph/model.h"
+#include "src/graph/plan_builder.h"
 #include "src/graph/task.h"
 #include "src/hw/topology.h"
 #include "src/mem/tensor.h"
 
 namespace harmony {
 
-struct HarmonyTpOptions {
-  int microbatches = 1;  // whole-minibatch microbatch count (all shards see every sample)
-  int microbatch_size = 1;
-  int iterations = 2;
-  bool input_batch_grouping = true;
-  bool jit_updates = true;
-  bool recompute = false;
-};
-
 Plan BuildHarmonyTpPlan(const Model& model, const Machine& machine, TensorRegistry* registry,
-                        const HarmonyTpOptions& options);
+                        const PlanOptions& options);
 
 }  // namespace harmony
 

@@ -87,68 +87,24 @@ Plan BuildPlanForConfig(const Model& model, const Machine& machine, TensorRegist
                         const SessionConfig& config) {
   Plan plan;
   switch (config.scheme) {
-    case Scheme::kBaselineDp: {
-      BaselineDpOptions options;
-      options.microbatches_per_gpu = config.microbatches;
-      options.microbatch_size = config.microbatch_size;
-      options.iterations = config.iterations;
-      options.recompute = config.recompute;
-      plan = BuildBaselineDpPlan(model, machine, registry, options);
+    case Scheme::kBaselineDp:
+      plan = BuildBaselineDpPlan(model, machine, registry, config);
       break;
-    }
-    case Scheme::kBaselinePp: {
-      BaselinePpOptions options;
-      options.microbatches = config.microbatches;
-      options.microbatch_size = config.microbatch_size;
-      options.iterations = config.iterations;
-      options.recompute = config.recompute;
-      plan = BuildBaselinePpPlan(model, machine, registry, options);
+    case Scheme::kBaselinePp:
+      plan = BuildBaselinePpPlan(model, machine, registry, config);
       break;
-    }
-    case Scheme::kHarmonyDp: {
-      HarmonyDpOptions options;
-      options.microbatches_per_gpu = config.microbatches;
-      options.microbatch_size = config.microbatch_size;
-      options.iterations = config.iterations;
-      options.input_batch_grouping = config.grouping;
-      options.jit_updates = config.jit_updates;
-      options.recompute = config.recompute;
-      plan = BuildHarmonyDpPlan(model, machine, registry, options);
+    case Scheme::kHarmonyDp:
+      plan = BuildHarmonyDpPlan(model, machine, registry, config);
       break;
-    }
-    case Scheme::kHarmonyPp: {
-      HarmonyPpOptions options;
-      options.microbatches = config.microbatches;
-      options.microbatch_size = config.microbatch_size;
-      options.iterations = config.iterations;
-      options.pack_size = config.pack_size;
-      options.input_batch_grouping = config.grouping;
-      options.group_size = config.group_size;
-      options.jit_updates = config.jit_updates;
-      options.balanced_packing = config.balanced_packing;
-      options.recompute = config.recompute;
-      plan = BuildHarmonyPpPlan(model, machine, registry, options);
+    case Scheme::kHarmonyPp:
+      plan = BuildHarmonyPpPlan(model, machine, registry, config);
       break;
-    }
-    case Scheme::kHarmonyTp: {
-      HarmonyTpOptions options;
-      options.microbatches = config.microbatches;
-      options.microbatch_size = config.microbatch_size;
-      options.iterations = config.iterations;
-      options.input_batch_grouping = config.grouping;
-      options.jit_updates = config.jit_updates;
-      options.recompute = config.recompute;
-      plan = BuildHarmonyTpPlan(model, machine, registry, options);
+    case Scheme::kHarmonyTp:
+      plan = BuildHarmonyTpPlan(model, machine, registry, config);
       break;
-    }
-    case Scheme::kServing: {
-      ServingPlanOptions options;
-      options.requests = config.iterations;
-      options.batches = config.microbatches;
-      options.batch_size = config.microbatch_size;
-      plan = BuildServingPlan(model, machine, registry, options);
+    case Scheme::kServing:
+      plan = BuildServingPlan(model, machine, registry, config);
       break;
-    }
   }
   AnnotateClusterStructure(&plan, machine.topology);
   return plan;
@@ -208,12 +164,8 @@ Status ValidateSessionConfig(const Model& model, const SessionConfig& config) {
   }
   const bool data_parallel =
       config.scheme == Scheme::kBaselineDp || config.scheme == Scheme::kHarmonyDp;
-  DecomposerOptions decomposer;
-  decomposer.num_replicas = data_parallel ? config.total_gpus() : 1;
-  decomposer.microbatches = config.microbatches;
-  decomposer.microbatch_size = config.microbatch_size;
-  decomposer.iterations = config.iterations;
-  HARMONY_RETURN_IF_ERROR(ValidateDecomposerOptions(config.total_gpus(), decomposer));
+  HARMONY_RETURN_IF_ERROR(ValidateDecomposerOptions(
+      config.total_gpus(), config, /*num_replicas=*/data_parallel ? config.total_gpus() : 1));
   if (config.pack_size < 1) {
     return InvalidArgumentError("pack_size must be >= 1, got " +
                                 std::to_string(config.pack_size));

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/graph/model.h"
+#include "src/graph/plan_builder.h"
 #include "src/graph/task.h"
 #include "src/hw/topology.h"
 #include "src/mem/memory_manager.h"
@@ -36,7 +37,10 @@ const char* SchemeName(Scheme scheme);
 // with a typed error listing nothing silently. Accepts every scheme, including "serving".
 StatusOr<Scheme> SchemeByName(const std::string& name);
 
-struct SessionConfig {
+// The workload shape and scheduler knobs (microbatches, microbatch_size, iterations,
+// recompute, pack_size, grouping, group_size, jit_updates, balanced_packing) come from the
+// PlanOptions base, which BuildPlanForConfig hands to the scheme's builder as is.
+struct SessionConfig : PlanOptions {
   ServerConfig server;
   Scheme scheme = Scheme::kHarmonyPp;
 
@@ -55,20 +59,8 @@ struct SessionConfig {
     return static_cast<int>(std::int64_t{num_nodes} * server.num_gpus);
   }
 
-  // Workload shape: `microbatches` is per GPU for DP schemes and the whole minibatch for PP
-  // schemes (matching the paper's "m microbatches per GPU, minibatch of mN microbatches").
-  int microbatches = 1;
-  int microbatch_size = 1;
-  int iterations = 3;
-
-  // Harmony knobs (ignored by baselines).
-  int pack_size = 1;
-  bool grouping = true;
-  int group_size = 0;  // microbatches per input-batch group (PP); 0 = whole minibatch
-  bool jit_updates = true;
+  // Coherent-memory p2p transfers under the Harmony policies (ignored by baselines).
   bool p2p = true;
-  bool balanced_packing = false;
-  bool recompute = false;
   // Scheduler-informed (Belady) eviction instead of LRU: the memory manager evicts the
   // tensor whose next scheduled use is farthest away. Off by default so the analytic LRU
   // model stays exact; an ablation quantifies the win.

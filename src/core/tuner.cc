@@ -12,9 +12,13 @@
 namespace harmony {
 namespace {
 
-// Serializes every model and config field that can influence a simulation into a cache key.
-// Plain text rather than a hash: collisions are impossible and keys are debuggable. Key
-// construction costs microseconds against the milliseconds-to-seconds simulation it saves.
+// Serializes the model and every SessionConfig field into a cache key: the PlanOptions
+// base, then the machine, memory, engine, fault-tolerance and quota fields. Output-only
+// knobs (timeline recording, lint, the eviction audit) are keyed too, since a cached report
+// must equal what the direct run would have returned. The one field left out is
+// checkpoint_store, which the memoized paths refuse. Plain text rather than a hash:
+// collisions are impossible and keys are debuggable. Key construction costs microseconds
+// against the milliseconds-to-seconds simulation it saves.
 void AppendLinkSpec(std::ostringstream& os, const LinkSpec& link) {
   os << link.name << ',' << link.bandwidth_bytes_per_sec << ',' << link.latency_sec << ';';
 }
@@ -30,17 +34,32 @@ std::string SimulationKey(const Model& model, const SessionConfig& config) {
        << c.workspace_bytes_per_sample << ',' << c.fwd_flops_per_sample << ','
        << c.bwd_flops_per_sample << ',' << c.upd_flops << ';';
   }
+  const PlanOptions& plan = config;
+  os << "|plan:" << plan.microbatches << ',' << plan.microbatch_size << ',' << plan.iterations
+     << ',' << plan.recompute << ',' << plan.pack_size << ',' << plan.grouping << ','
+     << plan.group_size << ',' << plan.jit_updates << ',' << plan.balanced_packing;
   const ServerConfig& server = config.server;
-  os << '|' << server.num_gpus << ',' << server.gpus_per_switch << ',' << server.p2p_enabled
-     << ',' << server.gpu.name << ',' << server.gpu.memory_bytes << ','
+  os << "|server:" << server.num_gpus << ',' << server.gpus_per_switch << ','
+     << server.p2p_enabled << ',' << server.gpu.name << ',' << server.gpu.memory_bytes << ','
      << server.gpu.peak_flops << ',' << server.gpu.efficiency << ';';
   AppendLinkSpec(os, server.gpu_link);
   AppendLinkSpec(os, server.host_link);
-  os << '|' << static_cast<int>(config.scheme) << ',' << config.microbatches << ','
-     << config.microbatch_size << ',' << config.iterations << ',' << config.pack_size << ','
-     << config.grouping << ',' << config.group_size << ',' << config.jit_updates << ','
-     << config.p2p << ',' << config.balanced_packing << ',' << config.recompute << ','
-     << config.lookahead_eviction << ',' << config.prefetch;
+  os << "|cluster:" << config.num_nodes << ',' << config.nodes_per_rack << ';';
+  AppendLinkSpec(os, config.nic_link);
+  AppendLinkSpec(os, config.rack_link);
+  os << "|run:" << static_cast<int>(config.scheme) << ',' << config.p2p << ','
+     << config.lookahead_eviction << ',' << config.audit_eviction << ',' << config.prefetch
+     << ',' << config.record_timeline << ',' << config.lint_plan << ','
+     << config.uplink_bw_fraction;
+  // FaultPlan::ToString rounds times and scales to milliseconds, so key the exact fields.
+  os << "|faults:";
+  for (const FaultEvent& event : config.faults.events()) {
+    os << event.time << ',' << static_cast<int>(event.kind) << ',' << event.gpu << ','
+       << event.scale << ',' << event.duration << ',' << event.nic << ',' << event.rack << ';';
+  }
+  os << "|recovery:" << config.checkpoint_every << ',' << config.checkpoint_final << ','
+     << config.watchdog_timeout << ',' << config.retry_max << ',' << config.retry_base << ','
+     << config.ckpt_keep << ',' << config.straggler_threshold;
   if (config.policy.has_value()) {
     os << "|policy:" << config.policy->write_back_clean << ',' << config.policy->allow_p2p
        << ',' << static_cast<int>(config.policy->eviction);
@@ -90,6 +109,9 @@ RunReport ProfileTraining(const Model& model, const SessionConfig& config, bool 
   if (!memoize) {
     return RunTraining(model, config).report;
   }
+  // A cache hit would skip the commits the store is meant to receive.
+  HCHECK(config.checkpoint_store == nullptr)
+      << "memoized profiling cannot feed a checkpoint_store; pass memoize=false";
   TunerCache& cache = Cache();
   const std::string key = SimulationKey(model, config);
   {

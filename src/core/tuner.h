@@ -11,9 +11,9 @@
 //      independent points profile concurrently on a ThreadPool. Results are assembled by
 //      sweep index, making the TunerResult bit-identical to the serial order for any
 //      `num_threads`.
-//   2. Memoization — probe and profile results are cached process-wide, keyed by every
-//      model/config field that affects the simulation, so the tuner and the experiment
-//      benches never re-simulate a configuration they have already measured.
+//   2. Memoization — probe and profile results are cached process-wide, keyed by the model
+//      and every SessionConfig field, so the tuner and the experiment benches never
+//      re-simulate a configuration they have already measured.
 #ifndef HARMONY_SRC_CORE_TUNER_H_
 #define HARMONY_SRC_CORE_TUNER_H_
 
@@ -70,7 +70,8 @@ std::string RenderTunerTable(const TunerResult& result);
 
 // ProbePeakWorkingSet / RunTraining with a process-wide cache keyed by the full
 // (model, config) simulation fingerprint. Thread-safe. `memoize = false` bypasses the
-// cache (both lookup and insert).
+// cache (both lookup and insert). Memoized profiling is fatal on a config carrying a
+// checkpoint_store: a cache hit would skip the store's commits.
 std::vector<Bytes> CachedProbePeakWorkingSet(const Model& model, const SessionConfig& config,
                                              bool memoize = true);
 RunReport ProfileTraining(const Model& model, const SessionConfig& config,

@@ -21,14 +21,15 @@ std::string ActivationName(const char* prefix, int layer, int microbatch, int re
 
 }  // namespace
 
-Status ValidateDecomposerOptions(int num_devices, const DecomposerOptions& options) {
+Status ValidateDecomposerOptions(int num_devices, const PlanOptions& options, int num_replicas,
+                                 int weight_shards) {
   if (num_devices < 1) {
     return InvalidArgumentError("num_devices must be >= 1, got " +
                                 std::to_string(num_devices));
   }
-  if (options.num_replicas < 1) {
+  if (num_replicas < 1) {
     return InvalidArgumentError("num_replicas must be >= 1, got " +
-                                std::to_string(options.num_replicas));
+                                std::to_string(num_replicas));
   }
   if (options.microbatches < 1) {
     return InvalidArgumentError("microbatches must be >= 1, got " +
@@ -42,23 +43,23 @@ Status ValidateDecomposerOptions(int num_devices, const DecomposerOptions& optio
     return InvalidArgumentError("iterations must be >= 1, got " +
                                 std::to_string(options.iterations));
   }
-  if (options.weight_shards < 1) {
+  if (weight_shards < 1) {
     return InvalidArgumentError("weight_shards must be >= 1, got " +
-                                std::to_string(options.weight_shards));
+                                std::to_string(weight_shards));
   }
   return Status::Ok();
 }
 
 PlanBuilder::PlanBuilder(const Model* model, TensorRegistry* registry, int num_devices,
-                         DecomposerOptions options)
-    : model_(model), registry_(registry), options_(options) {
-  const Status valid = ValidateDecomposerOptions(num_devices, options);
+                         const PlanOptions& options, int num_replicas, int weight_shards)
+    : model_(model), registry_(registry), options_(options), weight_shards_(weight_shards) {
+  const Status valid =
+      ValidateDecomposerOptions(num_devices, options, num_replicas, weight_shards);
   HCHECK(valid.ok()) << valid.ToString();
   plan_.per_device_order.resize(static_cast<std::size_t>(num_devices));
   plan_.num_iterations = options.iterations;
   plan_.microbatch_size = options.microbatch_size;
-  plan_.samples_per_iteration =
-      options.num_replicas * options.microbatches * options.microbatch_size;
+  plan_.samples_per_iteration = num_replicas * options.microbatches * options.microbatch_size;
 }
 
 Bytes PlanBuilder::ActBytes(int layer) const {
@@ -66,14 +67,14 @@ Bytes PlanBuilder::ActBytes(int layer) const {
 }
 
 Bytes PlanBuilder::ShardBytes(Bytes bytes) const {
-  if (options_.weight_shards <= 1) {
+  if (weight_shards_ <= 1) {
     return bytes;
   }
-  return (bytes + options_.weight_shards - 1) / options_.weight_shards;
+  return (bytes + weight_shards_ - 1) / weight_shards_;
 }
 
 double PlanBuilder::ShardFlops(double flops) const {
-  return flops / static_cast<double>(options_.weight_shards);
+  return flops / static_cast<double>(weight_shards_);
 }
 
 TensorId PlanBuilder::Weight(int layer, int replica) {
@@ -378,7 +379,7 @@ Plan PlanBuilder::Finish(std::string scheme) {
 }
 
 Plan BuildServingPlan(const Model& model, const Machine& machine, TensorRegistry* registry,
-                      const ServingPlanOptions& options) {
+                      const PlanOptions& options) {
   const int N = machine.num_gpus();
   const int R = model.num_layers();
   HCHECK_GE(R, N) << "serving needs at least one layer per stage (" << R << " layers, " << N
@@ -391,16 +392,13 @@ Plan BuildServingPlan(const Model& model, const Machine& machine, TensorRegistry
   }
   const std::vector<int> bounds = PartitionContiguousMinMax(costs, N);
 
-  DecomposerOptions decomp;
-  decomp.microbatches = options.batches;
-  decomp.microbatch_size = options.batch_size;
-  decomp.iterations = options.requests;
-  decomp.recompute = true;  // stashless: only stage-boundary activations materialize
-  PlanBuilder builder(&model, registry, N, decomp);
+  PlanOptions stashless = options;
+  stashless.recompute = true;  // only stage-boundary activations materialize
+  PlanBuilder builder(&model, registry, N, stashless);
 
-  for (int it = 0; it < options.requests; ++it) {
+  for (int it = 0; it < options.iterations; ++it) {
     builder.BeginIteration(it);
-    for (int mb = 0; mb < options.batches; ++mb) {
+    for (int mb = 0; mb < options.microbatches; ++mb) {
       TaskId prev = kInvalidTask;
       for (int s = 0; s < N; ++s) {
         std::vector<TaskId> deps;

@@ -32,28 +32,37 @@
 
 namespace harmony {
 
-struct DecomposerOptions {
-  // Weight replicas: N for data parallelism, 1 for pipeline parallelism. Under intra-op
-  // (tensor-parallel) splitting the "replica" index doubles as the shard index.
-  int num_replicas = 1;
-  // Microbatches per replica (DP) or in the whole minibatch (PP).
+// The workload shape and decomposition knobs, one struct for every scheduler: the
+// baselines and Harmony-DP/PP/TP read the same fields and differ only in the order of the
+// tasks they emit (a scheme ignores the knobs it has no use for). SessionConfig derives
+// from it, so a session hands itself to the builder unchanged.
+struct PlanOptions {
+  // Workload shape: `microbatches` is per GPU for DP schemes and the whole minibatch for PP
+  // and TP schemes (matching the paper's "m microbatches per GPU, minibatch of mN
+  // microbatches"). Serving reads the three as requests, batches per request and batch size.
   int microbatches = 1;
   int microbatch_size = 1;
-  int iterations = 1;
+  int iterations = 3;
+  // Backward re-runs the pack's forward math instead of keeping its activation stashes.
   bool recompute = false;
-  // Intra-op splitting (the paper's second key idea: "decompose individual operations —
-  // such as a matrix multiplication — into subtasks that can run on different physical
-  // devices"). Each replica index then holds 1/weight_shards of every layer's weights,
-  // gradients and optimizer state, and compute tasks carry 1/weight_shards of the FLOPs;
-  // activations stay full-size per shard (row-parallel partials reduced by collectives).
-  int weight_shards = 1;
+
+  // Harmony knobs (ignored by baselines).
+  int pack_size = 1;     // layers per pack (PP; the "memory-performance tango" knob)
+  bool grouping = true;  // input-batch grouping: run a layer across the whole group
+  // Microbatches per input-batch group when grouping is on (PP); 0 means the whole
+  // minibatch. Small groups pipeline better, large groups amortize weight swaps across
+  // more microbatches — the second axis of the memory-performance tango.
+  int group_size = 0;
+  bool jit_updates = true;         // reduce + update a layer right after its backward
+  bool balanced_packing = false;   // profile-balanced instead of round-robin pack placement
 };
 
 // Validates user-reachable decomposition parameters with actionable messages. The
 // PlanBuilder constructor still enforces the same conditions fatally (internal-invariant
 // style); front ends route configuration through this first so a bad flag value surfaces
-// as a Status, not a crash.
-Status ValidateDecomposerOptions(int num_devices, const DecomposerOptions& options);
+// as a Status, not a crash. `num_replicas` and `weight_shards` are as for PlanBuilder.
+Status ValidateDecomposerOptions(int num_devices, const PlanOptions& options,
+                                 int num_replicas = 1, int weight_shards = 1);
 
 // Stamps the plan's two-level (node) group structure from the machine topology: fills
 // Plan::device_node with each device's server index and Task::collective_node on every
@@ -65,8 +74,17 @@ void AnnotateClusterStructure(Plan* plan, const Topology& topology);
 
 class PlanBuilder {
  public:
+  // Two values come from the machine rather than the options. `num_replicas` is the
+  // weight replica count: N for data parallelism, 1 for pipeline parallelism; under intra-op
+  // (tensor-parallel) splitting the replica index doubles as the shard index.
+  // `weight_shards` is the intra-op split (the paper's second key idea: "decompose
+  // individual operations — such as a matrix multiplication — into subtasks that can run on
+  // different physical devices"): each replica index then holds 1/weight_shards of every
+  // layer's weights, gradients and optimizer state, and compute tasks carry 1/weight_shards
+  // of the FLOPs; activations stay full-size per shard (row-parallel partials reduced by
+  // collectives).
   PlanBuilder(const Model* model, TensorRegistry* registry, int num_devices,
-              DecomposerOptions options);
+              const PlanOptions& options, int num_replicas = 1, int weight_shards = 1);
 
   // Tasks added after this call belong to iteration `iter`; per-iteration tensors
   // (activations, gradients) are distinct across iterations, persistent state (W, K) is not.
@@ -108,7 +126,6 @@ class PlanBuilder {
   void FreeAfter(TaskId task, TensorId tensor);
 
   const Model& model() const { return *model_; }
-  const DecomposerOptions& options() const { return options_; }
   int num_layers() const { return model_->num_layers(); }
 
   Plan Finish(std::string scheme);
@@ -122,7 +139,8 @@ class PlanBuilder {
 
   const Model* model_;
   TensorRegistry* registry_;
-  DecomposerOptions options_;
+  PlanOptions options_;
+  int weight_shards_;
   int iteration_ = 0;
   Plan plan_;
 
@@ -144,15 +162,11 @@ class PlanBuilder {
 // models time-share a small GPU pool. Stages run stashless (recompute-style decomposition:
 // only boundary activations materialize); the consumer stage frees its input activation
 // once consumed, and the last stage frees the logits it produced (the response leaves the
-// simulated machine).
-struct ServingPlanOptions {
-  int requests = 1;    // pipeline wavefronts; maps to Plan::num_iterations for SLO stats
-  int batches = 1;     // request batches pipelined per wavefront
-  int batch_size = 1;  // samples per batch
-};
-
+// simulated machine). `options.iterations` counts requests (pipeline wavefronts, mapped to
+// Plan::num_iterations for SLO stats), `microbatches` the request batches pipelined per
+// wavefront and `microbatch_size` the samples per batch; `recompute` is forced on.
 Plan BuildServingPlan(const Model& model, const Machine& machine, TensorRegistry* registry,
-                      const ServingPlanOptions& options);
+                      const PlanOptions& options);
 
 }  // namespace harmony
 

@@ -12,6 +12,7 @@
 #include "src/graph/model_zoo.h"
 #include "src/sim/simulator.h"
 #include "src/util/check.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 #include "src/util/table.h"
 #include "src/util/units.h"
@@ -91,48 +92,13 @@ bool ValidTenantName(const std::string& name) {
   return true;
 }
 
-StatusOr<Scheme> TrainingSchemeByName(const char* what, const Field& field) {
-  if (field.text == "baseline-dp") {
-    return Scheme::kBaselineDp;
-  }
-  if (field.text == "baseline-pp") {
-    return Scheme::kBaselinePp;
-  }
-  if (field.text == "harmony-dp") {
-    return Scheme::kHarmonyDp;
-  }
-  if (field.text == "harmony-pp") {
-    return Scheme::kHarmonyPp;
-  }
-  if (field.text == "harmony-tp") {
-    return Scheme::kHarmonyTp;
-  }
-  return Malformed(what, field.offset,
-                   "unknown training scheme '" + field.text +
-                       "' (serving jobs use serve@; training schemes are baseline-dp, "
-                       "baseline-pp, harmony-dp, harmony-pp, harmony-tp)");
-}
-
-// Shortest decimal that round-trips to the same double (the ReportToJson rule), shared by
-// the canonical --jobs rendering and the JSON export: bursty-trace arrivals staggered by
-// 1e-3 at large t must stay distinct, and the bytes must be stable across runs and
-// thread counts.
-std::string RoundTripNumber(double value) {
-  char buffer[64];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) {
-      break;
-    }
-  }
-  return buffer;
-}
-
 }  // namespace
 
 std::string JobSpec::ToString() const {
   std::string out = kind == JobKind::kServing ? "serve@" : "train@";
-  out += RoundTripNumber(arrival);
+  // Shortest round-trip decimal: bursty-trace arrivals staggered by 1e-3 at large t must
+  // stay distinct when the spec is re-parsed.
+  out += JsonNumber(arrival);
   out += ":tenant=" + tenant;
   out += ",model=" + model;
   if (kind == JobKind::kTraining) {
@@ -237,9 +203,13 @@ StatusOr<std::vector<JobSpec>> ParseJobsSpec(const std::string& spec) {
               return Malformed("jobs", kv.offset,
                                "serving jobs have a fixed scheme; drop 'scheme='");
             }
-            const StatusOr<Scheme> scheme = TrainingSchemeByName("jobs", value);
-            if (!scheme.ok()) {
-              return scheme.status();
+            const StatusOr<Scheme> scheme = SchemeByName(value.text);
+            if (!scheme.ok() || scheme.value() == Scheme::kServing) {
+              return Malformed("jobs", value.offset,
+                               "unknown training scheme '" + value.text +
+                                   "' (serving jobs use serve@; training schemes are "
+                                   "baseline-dp, baseline-pp, harmony-dp, harmony-pp, "
+                                   "harmony-tp)");
             }
             job.scheme = scheme.value();
             break;
@@ -1229,42 +1199,12 @@ std::string ClusterReport::RenderTenantTable() const {
   return os.str();
 }
 
-namespace {
-
-// The cluster export uses the same shortest-round-trip rule as the spec rendering.
-std::string JsonNumber(double value) { return RoundTripNumber(value); }
-
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
-}  // namespace
-
 std::string ClusterReportToJson(const ClusterReport& report) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"harmony-cluster-report\",\n";
   os << "  \"version\": 1,\n";
-  os << "  \"policy\": " << JsonString(SchedPolicyName(report.policy)) << ",\n";
+  os << "  \"policy\": " << JsonQuote(SchedPolicyName(report.policy)) << ",\n";
   os << "  \"total_gpus\": " << report.total_gpus << ",\n";
   os << "  \"num_nodes\": " << report.num_nodes << ",\n";
   os << "  \"makespan_s\": " << JsonNumber(report.makespan) << ",\n";
@@ -1275,7 +1215,7 @@ std::string ClusterReportToJson(const ClusterReport& report) {
   os << "  \"tenants\": [\n";
   for (std::size_t i = 0; i < report.tenants.size(); ++i) {
     const TenantSlo& slo = report.tenants[i];
-    os << "    {\"tenant\": " << JsonString(slo.tenant) << ", \"jobs\": " << slo.jobs
+    os << "    {\"tenant\": " << JsonQuote(slo.tenant) << ", \"jobs\": " << slo.jobs
        << ", \"completed\": " << slo.completed << ", \"preemptions\": " << slo.preemptions
        << ", \"quota_deferred\": " << slo.quota_deferred
        << ", \"queue_delay_mean_s\": " << JsonNumber(slo.queue_delay_mean)
@@ -1292,9 +1232,9 @@ std::string ClusterReportToJson(const ClusterReport& report) {
   os << "  \"jobs\": [\n";
   for (std::size_t i = 0; i < report.jobs.size(); ++i) {
     const JobOutcome& job = report.jobs[i];
-    os << "    {\"id\": " << job.spec.id << ", \"spec\": " << JsonString(job.spec.ToString())
-       << ", \"tenant\": " << JsonString(job.spec.tenant)
-       << ", \"kind\": " << JsonString(job.spec.kind == JobKind::kServing ? "serving"
+    os << "    {\"id\": " << job.spec.id << ", \"spec\": " << JsonQuote(job.spec.ToString())
+       << ", \"tenant\": " << JsonQuote(job.spec.tenant)
+       << ", \"kind\": " << JsonQuote(job.spec.kind == JobKind::kServing ? "serving"
                                                                           : "training")
        << ", \"completed\": " << (job.completed ? "true" : "false")
        << ", \"quota_deferred\": " << (job.quota_deferred ? "true" : "false")

@@ -1,51 +1,15 @@
 #include "src/runtime/report_io.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "src/util/json.h"
 #include "src/util/table.h"
 
 namespace harmony {
 
 namespace {
-
-// Shortest decimal that round-trips to the same double: try %.15g..%.17g and take the
-// first exact match. Deterministic, so the JSON export is byte-stable across runs.
-std::string JsonNumber(double value) {
-  char buffer[64];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) {
-      break;
-    }
-  }
-  return buffer;
-}
-
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
 
 // `{"kSwapIn": 123, ...}` with zero-valued kinds omitted (keeps tensor-heavy exports
 // readable); emits `{}` when nothing flowed.
@@ -60,7 +24,7 @@ std::string BytesByKindObject(const Bytes by_kind[kNumTransferKinds]) {
       out += ", ";
     }
     first = false;
-    out += JsonString(TransferKindName(static_cast<TransferKind>(k)));
+    out += JsonQuote(TransferKindName(static_cast<TransferKind>(k)));
     out += ": ";
     out += std::to_string(by_kind[k]);
   }
@@ -118,12 +82,12 @@ std::string ReportToJson(const RunReport& report) {
   os << "{\n";
   os << "  \"schema\": \"harmony-run-report\",\n";
   os << "  \"version\": 2,\n";
-  os << "  \"scheme\": " << JsonString(report.scheme) << ",\n";
+  os << "  \"scheme\": " << JsonQuote(report.scheme) << ",\n";
   os << "  \"makespan_s\": " << JsonNumber(report.makespan) << ",\n";
   os << "  \"samples_per_iteration\": " << report.samples_per_iteration << ",\n";
   os << "  \"failed\": " << (report.failed ? "true" : "false") << ",\n";
   if (report.failed) {
-    os << "  \"failure\": {\"kind\": " << JsonString(report.failure_kind)
+    os << "  \"failure\": {\"kind\": " << JsonQuote(report.failure_kind)
        << ", \"device\": " << report.failed_device
        << ", \"time_s\": " << JsonNumber(report.failure_time) << "},\n";
   }
@@ -163,10 +127,10 @@ std::string ReportToJson(const RunReport& report) {
         if (c > 0) {
           os << ", ";
         }
-        os << JsonString(TimeClassName(static_cast<TimeClass>(c))) << ": "
+        os << JsonQuote(TimeClassName(static_cast<TimeClass>(c))) << ": "
            << JsonNumber(time.seconds[c]);
       }
-      os << "},\n     \"dominant_stall\": " << JsonString(TimeClassName(time.DominantStall()));
+      os << "},\n     \"dominant_stall\": " << JsonQuote(TimeClassName(time.DominantStall()));
     }
     os << "}" << (d + 1 < report.num_devices() ? "," : "") << "\n";
   }
@@ -175,7 +139,7 @@ std::string ReportToJson(const RunReport& report) {
   os << "  \"links\": [\n";
   for (std::size_t l = 0; l < report.links.size(); ++l) {
     const RunReport::LinkUsage& link = report.links[l];
-    os << "    {\"name\": " << JsonString(link.name) << ", \"bytes\": " << link.bytes
+    os << "    {\"name\": " << JsonQuote(link.name) << ", \"bytes\": " << link.bytes
        << ", \"busy_s\": " << JsonNumber(link.busy_time)
        << ", \"utilization\": " << JsonNumber(link.utilization)
        << ", \"avg_queue_depth\": " << JsonNumber(link.avg_queue_depth)
@@ -192,7 +156,7 @@ std::string ReportToJson(const RunReport& report) {
     os << "  \"tiers\": [\n";
     for (std::size_t t = 0; t < report.tiers.size(); ++t) {
       const RunReport::TierUsage& tier = report.tiers[t];
-      os << "    {\"name\": " << JsonString(tier.name) << ", \"bytes\": " << tier.bytes
+      os << "    {\"name\": " << JsonQuote(tier.name) << ", \"bytes\": " << tier.bytes
          << ", \"busy_s\": " << JsonNumber(tier.busy_time) << ", \"flows\": " << tier.flows
          << ", \"bytes_by_kind\": " << BytesByKindObject(tier.bytes_by_kind) << "}"
          << (t + 1 < report.tiers.size() ? "," : "") << "\n";
@@ -203,7 +167,7 @@ std::string ReportToJson(const RunReport& report) {
   os << "  \"node_io\": [\n";
   for (std::size_t n = 0; n < report.node_io.size(); ++n) {
     const RunReport::NodeIo& node = report.node_io[n];
-    os << "    {\"node\": " << JsonString(node.node)
+    os << "    {\"node\": " << JsonQuote(node.node)
        << ", \"in_by_kind\": " << BytesByKindObject(node.in_by_kind)
        << ", \"out_by_kind\": " << BytesByKindObject(node.out_by_kind) << "}"
        << (n + 1 < report.node_io.size() ? "," : "") << "\n";
@@ -213,8 +177,8 @@ std::string ReportToJson(const RunReport& report) {
   os << "  \"tensor_churn\": [\n";
   for (std::size_t t = 0; t < report.tensor_churn.size(); ++t) {
     const RunReport::TensorChurn& churn = report.tensor_churn[t];
-    os << "    {\"tensor\": " << churn.tensor << ", \"name\": " << JsonString(churn.name)
-       << ", \"class\": " << JsonString(churn.cls) << ", \"bytes\": " << churn.bytes
+    os << "    {\"tensor\": " << churn.tensor << ", \"name\": " << JsonQuote(churn.name)
+       << ", \"class\": " << JsonQuote(churn.cls) << ", \"bytes\": " << churn.bytes
        << ", \"evictions\": " << churn.evictions
        << ", \"clean_drops\": " << churn.clean_drops
        << ", \"write_backs\": " << churn.write_backs
@@ -244,18 +208,18 @@ std::string ReportToJson(const RunReport& report) {
 
   const AttributionReport attribution = Attribute(report);
   os << "  \"attribution\": {\n";
-  os << "    \"summary\": " << JsonString(attribution.Summary()) << ",\n";
+  os << "    \"summary\": " << JsonQuote(attribution.Summary()) << ",\n";
   os << "    \"worst_device\": " << attribution.worst_device << ",\n";
   os << "    \"devices\": [";
   for (std::size_t d = 0; d < attribution.devices.size(); ++d) {
     const AttributionReport::DeviceStall& stall = attribution.devices[d];
     os << (d > 0 ? ", " : "") << "{\"device\": " << stall.device
-       << ", \"dominant_stall\": " << JsonString(TimeClassName(stall.dominant))
+       << ", \"dominant_stall\": " << JsonQuote(TimeClassName(stall.dominant))
        << ", \"seconds\": " << JsonNumber(stall.seconds)
        << ", \"fraction\": " << JsonNumber(stall.fraction) << "}";
   }
   os << "],\n";
-  os << "    \"bottleneck_link\": {\"name\": " << JsonString(attribution.bottleneck_link)
+  os << "    \"bottleneck_link\": {\"name\": " << JsonQuote(attribution.bottleneck_link)
      << ", \"utilization\": " << JsonNumber(attribution.bottleneck_utilization)
      << ", \"avg_queue_depth\": " << JsonNumber(attribution.bottleneck_queue_depth)
      << ", \"bytes\": " << attribution.bottleneck_bytes << "},\n";
@@ -263,7 +227,7 @@ std::string ReportToJson(const RunReport& report) {
   for (std::size_t t = 0; t < attribution.top_churn.size(); ++t) {
     const RunReport::TensorChurn& churn = attribution.top_churn[t];
     os << (t > 0 ? ", " : "") << "{\"tensor\": " << churn.tensor
-       << ", \"name\": " << JsonString(churn.name)
+       << ", \"name\": " << JsonQuote(churn.name)
        << ", \"moved_bytes\": " << churn.moved_bytes()
        << ", \"refetches\": " << churn.refetches() << "}";
   }

@@ -1,12 +1,47 @@
 #include "src/util/json.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "src/util/check.h"
 
 namespace harmony {
+
+std::string JsonQuote(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x", static_cast<unsigned>(c));
+          out += buffer;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
+std::string JsonNumber(double value) {
+  char buffer[64];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
+    if (std::strtod(buffer, nullptr) == value) {
+      break;
+    }
+  }
+  return buffer;
+}
 
 void JsonObject::Set(std::string key, JsonValue value) {
   auto it = index_.find(key);

@@ -1,10 +1,11 @@
 // Minimal JSON document model + parser for the observability layer (DESIGN.md §8).
 //
-// The simulator *emits* JSON with hand-formatted writers (deterministic field order and
-// number formatting, see runtime/report_io.h); this parser exists so tests can round-trip
-// and schema-check that output without an external dependency. It supports the whole JSON
-// grammar (objects, arrays, strings with escapes, numbers, booleans, null) but is tuned for
-// trust-the-producer inputs: recursion depth is bounded and errors carry byte offsets.
+// The simulator *emits* JSON with hand-formatted writers (deterministic field order, see
+// runtime/report_io.h) that share the two scalar formatters below; this parser exists so
+// tests can round-trip and schema-check that output without an external dependency. It
+// supports the whole JSON grammar (objects, arrays, strings with escapes, numbers,
+// booleans, null) but is tuned for trust-the-producer inputs: recursion depth is bounded
+// and errors carry byte offsets.
 #ifndef HARMONY_SRC_UTIL_JSON_H_
 #define HARMONY_SRC_UTIL_JSON_H_
 
@@ -76,6 +77,14 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::shared_ptr<const JsonObject> object_;  // shared: JsonValue stays copyable
 };
+
+// `s` as a quoted JSON string literal: quote, backslash and control bytes escaped, every
+// other byte (UTF-8 included) copied through.
+std::string JsonQuote(std::string_view s);
+
+// The shortest decimal (%.15g to %.17g) that parses back to exactly `value`, so reports
+// are byte-stable across runs and lose no precision.
+std::string JsonNumber(double value);
 
 // Parses one JSON document (trailing whitespace allowed, trailing garbage is an error).
 // Errors are INVALID_ARGUMENT with a byte offset, e.g. "json: offset 17: expected ':'".

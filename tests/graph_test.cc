@@ -137,7 +137,8 @@ TEST(ModelZooTest, AllZooModelsAreSchedulable) {
     const StatusOr<Model> model = ModelByName(name);
     ASSERT_TRUE(model.ok()) << name;
     TensorRegistry registry;
-    DecomposerOptions options;
+    PlanOptions options;
+    options.iterations = 1;
     PlanBuilder builder(&model.value(), &registry, 1, options);
     builder.BeginIteration(0);
     TaskId prev = kInvalidTask;

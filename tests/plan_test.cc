@@ -24,7 +24,7 @@ Model SmallModel(int layers = 3, Bytes stash = 0) {
 // Builds a minimal sequential single-device plan: fwd all, loss, bwd all, upd all.
 Plan SequentialPlan(const Model& model, TensorRegistry* registry, int microbatches = 1,
                     bool recompute = false, int iterations = 1) {
-  DecomposerOptions options;
+  PlanOptions options;
   options.microbatches = microbatches;
   options.recompute = recompute;
   options.iterations = iterations;
@@ -158,7 +158,8 @@ TEST(PlanBuilderTest, RecomputeSkipsStashesAndAddsFlops) {
 TEST(PlanBuilderTest, PackedForwardCoversLayerRange) {
   const Model model = SmallModel(4);
   TensorRegistry registry;
-  DecomposerOptions options;
+  PlanOptions options;
+  options.iterations = 1;
   PlanBuilder builder(&model, &registry, 1, options);
   builder.BeginIteration(0);
   const TaskId id = builder.AddForward(0, 0, 4, 0, 0, {});
@@ -173,8 +174,9 @@ TEST(PlanBuilderTest, PackedForwardCoversLayerRange) {
 TEST(PlanBuilderTest, MicrobatchSizeScalesTensorsAndFlops) {
   const Model model = SmallModel();
   TensorRegistry registry;
-  DecomposerOptions options;
+  PlanOptions options;
   options.microbatch_size = 8;
+  options.iterations = 1;
   PlanBuilder builder(&model, &registry, 1, options);
   builder.BeginIteration(0);
   const TaskId id = builder.AddForward(0, 0, 1, 0, 0, {});
@@ -188,7 +190,7 @@ TEST(PlanBuilderTest, MicrobatchSizeScalesTensorsAndFlops) {
 TEST(PlanBuilderTest, WeightsSharedAcrossIterationsGradsAreNot) {
   const Model model = SmallModel();
   TensorRegistry registry;
-  DecomposerOptions options;
+  PlanOptions options;
   options.iterations = 2;
   PlanBuilder builder(&model, &registry, 1, options);
   builder.BeginIteration(0);

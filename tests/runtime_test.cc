@@ -129,7 +129,7 @@ Model TinyModel() {
 }
 
 Plan TinySequentialPlan(const Model& model, TensorRegistry* registry, int iterations = 1) {
-  DecomposerOptions options;
+  PlanOptions options;
   options.iterations = iterations;
   PlanBuilder builder(&model, registry, 1, options);
   for (int it = 0; it < iterations; ++it) {
@@ -237,7 +237,8 @@ TEST(EngineTest, PrefetchOverlapsAndNeverChangesResults) {
 TEST(EngineDeathTest, MissingDependencyDataIsFatal) {
   const Model model = TinyModel();
   EngineHarness h(1, 64 * kMiB, HarmonyPolicy());
-  DecomposerOptions options;
+  PlanOptions options;
+  options.iterations = 1;
   PlanBuilder builder(&model, &h.registry, 1, options);
   builder.BeginIteration(0);
   // Backward without any forward: the stashed activation has no valid copy anywhere.
@@ -263,8 +264,9 @@ TEST(DemandTest, DemandGrowsWithMicrobatches) {
   const Model model = TinyModel();
   auto demand_for = [&](int microbatches) {
     TensorRegistry registry;
-    DecomposerOptions options;
+    PlanOptions options;
     options.microbatches = microbatches;
+    options.iterations = 1;
     PlanBuilder builder(&model, &registry, 1, options);
     builder.BeginIteration(0);
     std::vector<TaskId> last_bwd;

@@ -58,8 +58,8 @@ TEST(SchedulerStructureTest, BaselineDpTaskCounts) {
   const Model model = AnalyticModel(4);
   const Machine machine = MakeCommodityServer(ServerConfig{});
   TensorRegistry registry;
-  BaselineDpOptions options;
-  options.microbatches_per_gpu = 3;
+  PlanOptions options;
+  options.microbatches = 3;
   options.iterations = 2;
   const Plan plan = BuildBaselineDpPlan(model, machine, &registry, options);
   int counts[5] = {};
@@ -79,10 +79,10 @@ TEST(SchedulerStructureTest, HarmonyDpGroupingChangesOrderNotCounts) {
   const Machine machine = MakeCommodityServer(ServerConfig{});
   auto build = [&](bool grouping) {
     TensorRegistry registry;
-    HarmonyDpOptions options;
-    options.microbatches_per_gpu = 2;
+    PlanOptions options;
+    options.microbatches = 2;
     options.iterations = 1;
-    options.input_batch_grouping = grouping;
+    options.grouping = grouping;
     return BuildHarmonyDpPlan(model, machine, &registry, options);
   };
   const Plan grouped = build(true);
@@ -105,7 +105,7 @@ TEST(SchedulerStructureTest, HarmonyPpRoundRobinPlacement) {
   const Model model = AnalyticModel(4);
   const Machine machine = MakeCommodityServer(ServerConfig{});
   TensorRegistry registry;
-  HarmonyPpOptions options;
+  PlanOptions options;
   options.microbatches = 2;
   options.iterations = 1;
   const Plan plan = BuildHarmonyPpPlan(model, machine, &registry, options);
@@ -123,7 +123,7 @@ TEST(SchedulerStructureTest, HarmonyPpJitPlacesUpdateRightAfterBackwardGroup) {
   server.num_gpus = 2;
   const Machine machine = MakeCommodityServer(server);
   TensorRegistry registry;
-  HarmonyPpOptions options;
+  PlanOptions options;
   options.microbatches = 2;
   options.iterations = 1;
   const Plan plan = BuildHarmonyPpPlan(model, machine, &registry, options);
@@ -166,7 +166,7 @@ TEST(SchedulerStructureTest, BaselinePpHeadStageDemandsMoreMemory) {
   server.num_gpus = 4;
   const Machine machine = MakeCommodityServer(server);
   TensorRegistry registry;
-  BaselinePpOptions options;
+  PlanOptions options;
   options.microbatches = 8;
   options.iterations = 1;
   const Plan plan = BuildBaselinePpPlan(model, machine, &registry, options);

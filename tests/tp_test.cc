@@ -24,10 +24,10 @@ Plan BuildTp(const Model& model, TensorRegistry* registry, int n_gpus, int micro
   ServerConfig server;
   server.num_gpus = n_gpus;
   const Machine machine = MakeCommodityServer(server);
-  HarmonyTpOptions options;
+  PlanOptions options;
   options.microbatches = microbatches;
   options.iterations = 1;
-  options.input_batch_grouping = grouping;
+  options.grouping = grouping;
   options.jit_updates = jit;
   return BuildHarmonyTpPlan(model, machine, registry, options);
 }
@@ -87,7 +87,7 @@ TEST(HarmonyTpTest, PeakWorkingSetShrinksWithShards) {
 TEST(HarmonyTpTest, SamplesPerIterationNotMultipliedByShards) {
   const Model model = SmallModel();
   TensorRegistry registry;
-  HarmonyTpOptions options;
+  PlanOptions options;
   options.microbatches = 3;
   options.microbatch_size = 5;
   options.iterations = 1;

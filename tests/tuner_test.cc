@@ -4,15 +4,20 @@
 // `ctest -R tuner`.
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <future>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/tuner.h"
 #include "src/graph/model_zoo.h"
+#include "src/runtime/checkpoint_store.h"
+#include "src/runtime/report_io.h"
 #include "src/util/thread_pool.h"
 
 namespace harmony {
@@ -245,12 +250,74 @@ TEST(TunerTest, CachedProfileMatchesDirectRunBitwise) {
     EXPECT_EQ(report->device_busy, direct.device_busy);
   }
 
-  // Config changes that alter the simulation must be distinct cache keys.
-  SessionConfig different = config;
-  different.prefetch = !different.prefetch;
-  (void)ProfileTraining(model, different, /*memoize=*/true);
-  EXPECT_EQ(GetTunerCacheStats().profile_misses, 2);
+  // Every config field is part of the cache key: changing any one of them is a miss, and
+  // the memoized report equals the direct run's byte-for-byte. A new SessionConfig field
+  // needs a row here.
+  const FaultPlan slow = ParseFaultSpec("gpu_slow@0.05:gpu0:0.5:0.1").value();
+  const FaultPlan slow_later = ParseFaultSpec("gpu_slow@0.0501:gpu0:0.5:0.1").value();
+  const std::vector<std::pair<const char*, std::function<void(SessionConfig&)>>> fields = {
+      {"microbatches", [](SessionConfig& c) { c.microbatches = 2; }},
+      {"microbatch_size", [](SessionConfig& c) { c.microbatch_size = 1; }},
+      {"iterations", [](SessionConfig& c) { c.iterations = 3; }},
+      {"recompute", [](SessionConfig& c) { c.recompute = true; }},
+      {"pack_size", [](SessionConfig& c) { c.pack_size = 2; }},
+      {"grouping", [](SessionConfig& c) { c.grouping = false; }},
+      {"group_size", [](SessionConfig& c) { c.group_size = 2; }},
+      {"jit_updates", [](SessionConfig& c) { c.jit_updates = false; }},
+      {"balanced_packing", [](SessionConfig& c) { c.balanced_packing = true; }},
+      {"server.num_gpus", [](SessionConfig& c) { c.server.num_gpus = 3; }},
+      {"server.gpus_per_switch", [](SessionConfig& c) { c.server.gpus_per_switch = 1; }},
+      {"server.gpu_link", [](SessionConfig& c) { c.server.gpu_link.latency_sec *= 2.0; }},
+      {"server.host_link",
+       [](SessionConfig& c) { c.server.host_link.bandwidth_bytes_per_sec *= 0.5; }},
+      {"server.p2p_enabled", [](SessionConfig& c) { c.server.p2p_enabled = false; }},
+      {"server.gpu.name", [](SessionConfig& c) { c.server.gpu.name = "renamed"; }},
+      {"server.gpu.memory_bytes", [](SessionConfig& c) { c.server.gpu.memory_bytes *= 2; }},
+      {"server.gpu.peak_flops", [](SessionConfig& c) { c.server.gpu.peak_flops *= 2.0; }},
+      {"server.gpu.efficiency", [](SessionConfig& c) { c.server.gpu.efficiency = 0.5; }},
+      {"scheme", [](SessionConfig& c) { c.scheme = Scheme::kHarmonyDp; }},
+      {"num_nodes", [](SessionConfig& c) { c.num_nodes = 2; }},
+      {"nodes_per_rack", [](SessionConfig& c) { c.nodes_per_rack = 1; }},
+      {"nic_link", [](SessionConfig& c) { c.nic_link.bandwidth_bytes_per_sec *= 0.5; }},
+      {"rack_link", [](SessionConfig& c) { c.rack_link.bandwidth_bytes_per_sec *= 0.5; }},
+      {"uplink_bw_fraction", [](SessionConfig& c) { c.uplink_bw_fraction = 0.25; }},
+      {"p2p", [](SessionConfig& c) { c.p2p = false; }},
+      {"lookahead_eviction", [](SessionConfig& c) { c.lookahead_eviction = true; }},
+      {"audit_eviction", [](SessionConfig& c) { c.audit_eviction = true; }},
+      {"prefetch", [](SessionConfig& c) { c.prefetch = false; }},
+      {"record_timeline", [](SessionConfig& c) { c.record_timeline = true; }},
+      {"lint_plan", [](SessionConfig& c) { c.lint_plan = false; }},
+      {"faults", [&slow](SessionConfig& c) { c.faults = slow; }},
+      // Differs from the row above only below FaultPlan::ToString's millisecond rounding.
+      {"faults (sub-millisecond)", [&slow_later](SessionConfig& c) { c.faults = slow_later; }},
+      {"checkpoint_every", [](SessionConfig& c) { c.checkpoint_every = 1; }},
+      {"checkpoint_final", [](SessionConfig& c) { c.checkpoint_final = true; }},
+      {"watchdog_timeout", [](SessionConfig& c) { c.watchdog_timeout = 100.0; }},
+      {"retry_max", [](SessionConfig& c) { c.retry_max = 2; }},
+      {"retry_base", [](SessionConfig& c) { c.retry_base = 0.002; }},
+      {"ckpt_keep", [](SessionConfig& c) { c.ckpt_keep = 3; }},
+      {"straggler_threshold", [](SessionConfig& c) { c.straggler_threshold = 2.0; }},
+      {"policy", [](SessionConfig& c) { c.policy = LmsPolicy(); }},
+  };
+  for (const auto& [field, perturb] : fields) {
+    SCOPED_TRACE(field);
+    SessionConfig different = config;
+    perturb(different);
+    const RunReport expected = ProfileTraining(model, different, /*memoize=*/false);
+    const std::int64_t misses = GetTunerCacheStats().profile_misses;
+    const RunReport memoized = ProfileTraining(model, different, /*memoize=*/true);
+    EXPECT_EQ(GetTunerCacheStats().profile_misses, misses + 1);
+    EXPECT_EQ(ReportToJson(memoized), ReportToJson(expected));
+  }
   ClearTunerCache();
+}
+
+TEST(TunerDeathTest, MemoizedProfileRefusesCheckpointStore) {
+  const Model model = TinyUniformModel();
+  SessionConfig config = TinyBase();
+  CheckpointStore store(/*keep=*/2);
+  config.checkpoint_store = &store;
+  EXPECT_DEATH(ProfileTraining(model, config, /*memoize=*/true), "checkpoint_store");
 }
 
 TEST(TunerTest, ClearTunerCacheZeroesStats) {

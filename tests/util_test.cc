@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "src/util/check.h"
 #include "src/util/json.h"
@@ -232,6 +233,33 @@ TEST(JsonStringTest, BmpEscapesStillDecode) {
   const StatusOr<JsonValue> parsed = ParseJson("\"\\u00e9\\u4e2d\"");  // é中
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().as_string(), "\xC3\xA9\xE4\xB8\xAD");
+}
+
+TEST(JsonStringTest, QuoteRoundTripsEveryAsciiByte) {
+  std::string all;
+  for (int byte = 0x01; byte <= 0x7f; ++byte) {
+    const std::string one(1, static_cast<char>(byte));
+    const StatusOr<JsonValue> parsed = ParseJson(JsonQuote(one));
+    ASSERT_TRUE(parsed.ok()) << "byte " << byte << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed.value().as_string(), one) << "byte " << byte;
+    all += one;
+  }
+  const StatusOr<JsonValue> parsed = ParseJson(JsonQuote(all));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().as_string(), all);
+  EXPECT_EQ(JsonQuote("a\"b\\c\nd\x01"), "\"a\\\"b\\\\c\\nd\\u0001\"");
+}
+
+TEST(JsonNumberTest, ShortestDecimalRoundTripsExactly) {
+  for (const double value : {86400.001, 0.1, 1.0 / 3.0, 1e-3, 0.0, -2.5, 1e300}) {
+    const std::string text = JsonNumber(value);
+    const StatusOr<JsonValue> parsed = ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed.value().as_number(), value) << text;
+  }
+  EXPECT_EQ(JsonNumber(86400.001), "86400.001");
+  EXPECT_EQ(JsonNumber(0.1), "0.1");
+  EXPECT_EQ(JsonNumber(2.0), "2");
 }
 
 }  // namespace
