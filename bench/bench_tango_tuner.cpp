@@ -23,6 +23,11 @@ int main(int argc, char** argv) {
     std::cerr << parsed.ToString() << "\n\n" << flags.Usage(argv[0]);
     return 2;
   }
+  const StatusOr<int> threads = flags.GetCheckedInt("tuner_threads", /*min_value=*/0);
+  if (!threads.ok()) {
+    std::cerr << threads.status().ToString() << "\n\n" << flags.Usage(argv[0]);
+    return 2;
+  }
 
   std::cout << "=== Sec. 4: memory-performance tango (Harmony-PP tuner) ===\n\n";
 
@@ -37,7 +42,7 @@ int main(int argc, char** argv) {
   options.group_sizes = {0, 2};  // whole-minibatch grouping vs 2-microbatch wavefronts
   options.microbatch_sizes = {1, 2, 4, 8};
   options.minibatch_samples = 32;
-  options.num_threads = flags.GetInt("tuner_threads");
+  options.num_threads = threads.value();
   const auto sweep_start = std::chrono::steady_clock::now();
   const TunerResult result = TunePp(bert, base, options);
   const double sweep_seconds =
@@ -48,7 +53,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "[tuner] %zu sweep points on %d threads in %.3fs; cache: %lld/%lld probe "
                "hits, %lld/%lld profile hits\n",
-               result.points.size(), ResolveThreadCount(options.num_threads), sweep_seconds,
+               result.points.size(),
+               ResolveThreadCount(options.num_threads, result.points.size()), sweep_seconds,
                static_cast<long long>(stats.probe_hits),
                static_cast<long long>(stats.probe_hits + stats.probe_misses),
                static_cast<long long>(stats.profile_hits),

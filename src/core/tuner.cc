@@ -179,7 +179,7 @@ TunerResult TunePp(const Model& model, const SessionConfig& base, const TunerOpt
 
   // Phase 2: probe + profile every point across the pool. Each point is written back to its
   // own slot, so the assembled vector matches the serial sweep order bit-for-bit.
-  ThreadPool pool(ResolveThreadCount(options.num_threads));
+  ThreadPool pool(ResolveThreadCount(options.num_threads, candidates.size()));
   ParallelFor(pool, candidates.size(), [&](std::size_t i) {
     Candidate& candidate = candidates[i];
     TunerPoint& point = candidate.point;

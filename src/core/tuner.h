@@ -47,8 +47,9 @@ struct TunerOptions {
   std::vector<int> microbatch_sizes = {1, 2, 4};
   int minibatch_samples = 16;  // fixed SGD semantics across the sweep
   int iterations = 2;
-  // Worker threads profiling sweep points (<= 0 = one per hardware thread). The result is
-  // bit-identical across thread counts; see the header comment.
+  // Worker threads profiling sweep points (<= 0 = one per hardware thread), capped at the
+  // number of sweep points. The result is bit-identical across thread counts; see the
+  // header comment.
   int num_threads = 0;
   // Reuse process-wide cached probe/profile results for previously seen configurations.
   // Tests that measure genuine re-execution turn this off.

@@ -1,10 +1,9 @@
 #include "src/hw/cluster_spec.h"
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
+
+#include "src/util/spec.h"
 
 namespace harmony {
 namespace {
@@ -16,137 +15,43 @@ std::string FormatG(double value) {
   return buffer;
 }
 
-struct Field {
-  std::string text;
-  std::size_t offset = 0;  // absolute byte offset in the spec string
-};
-
-Status MalformedSpec(std::size_t offset, const std::string& why) {
-  return InvalidArgumentError("malformed cluster spec: " + why + " (at byte " +
-                              std::to_string(offset) +
-                              "; see --help for the --cluster grammar)");
-}
-
-std::vector<Field> Split(const std::string& s, char sep) {
-  std::vector<Field> out;
-  std::string::size_type start = 0;
-  for (;;) {
-    const auto pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(Field{s.substr(start), start});
-      return out;
-    }
-    out.push_back(Field{s.substr(start, pos - start), start});
-    start = pos + 1;
-  }
-}
-
-StatusOr<int> ParseCount(const Field& field, const std::string& key, int min_value) {
-  char* end = nullptr;
-  const long value = std::strtol(field.text.c_str(), &end, 10);
-  if (field.text.empty() || end != field.text.c_str() + field.text.size() ||
-      value < min_value || value > 1 << 20) {
-    return MalformedSpec(field.offset, key + " must be an integer >= " +
-                                           std::to_string(min_value) + ", got '" +
-                                           field.text + "'");
-  }
-  return static_cast<int>(value);
-}
-
-StatusOr<double> ParseGbps(const Field& field, const std::string& key) {
-  char* end = nullptr;
-  const double value = std::strtod(field.text.c_str(), &end);
-  if (field.text.empty() || end != field.text.c_str() + field.text.size() ||
-      !std::isfinite(value) || value <= 0.0) {
-    return MalformedSpec(field.offset, key + " must be a positive number of Gbit/s, got '" +
-                                           field.text + "'");
-  }
-  return value;
-}
-
 }  // namespace
 
 StatusOr<ClusterSpec> ParseClusterSpec(const std::string& spec) {
+  const SpecReader reader("cluster spec", "--cluster");
   ClusterSpec out;
-  bool seen[5] = {false, false, false, false, false};
-  for (const Field& kv : Split(spec, ',')) {
-    if (kv.text.empty()) {
-      continue;
-    }
-    const auto eq = kv.text.find('=');
-    if (eq == std::string::npos) {
-      return MalformedSpec(kv.offset, "expected key=value, got '" + kv.text + "'");
-    }
-    const std::string key = kv.text.substr(0, eq);
-    const Field value{kv.text.substr(eq + 1), kv.offset + eq + 1};
-    int slot;
-    if (key == "nodes") {
-      slot = 0;
-    } else if (key == "gpus_per_node") {
-      slot = 1;
-    } else if (key == "nodes_per_rack") {
-      slot = 2;
-    } else if (key == "nic_gbps") {
-      slot = 3;
-    } else if (key == "rack_gbps") {
-      slot = 4;
-    } else {
-      return MalformedSpec(kv.offset, "unknown cluster option '" + key + "'");
-    }
-    if (seen[slot]) {
-      return MalformedSpec(kv.offset, "duplicate cluster option '" + key + "'");
-    }
-    seen[slot] = true;
-    switch (slot) {
-      case 0: {
-        StatusOr<int> v = ParseCount(value, key, 1);
-        if (!v.ok()) {
-          return v.status();
+  const auto count = [&reader](const SpecOption& o, int min, int* value) {
+    return reader.ReadInt(o.key, o.value, min, kMaxSpecCount,
+                          "an integer >= " + std::to_string(min), value);
+  };
+  const auto gbps = [&reader](const SpecOption& o, double* value) {
+    return reader.ReadDouble(o.key, o.value, kSpecPositive, kSpecMaxDouble,
+                             "a positive number of Gbit/s", value);
+  };
+  HARMONY_RETURN_IF_ERROR(reader.ForEachOption(
+      SpecField{spec, 0}, "cluster",
+      {"nodes", "gpus_per_node", "nodes_per_rack", "nic_gbps", "rack_gbps"},
+      [&](const SpecOption& o) {
+        switch (o.slot) {
+          case 0:
+            return count(o, 1, &out.nodes);
+          case 1:
+            return count(o, 1, &out.gpus_per_node);
+          case 2:
+            return count(o, 0, &out.nodes_per_rack);
+          case 3:
+            return gbps(o, &out.nic_gbps);
+          default:
+            return gbps(o, &out.rack_gbps);
         }
-        out.nodes = v.value();
-        break;
-      }
-      case 1: {
-        StatusOr<int> v = ParseCount(value, key, 1);
-        if (!v.ok()) {
-          return v.status();
-        }
-        out.gpus_per_node = v.value();
-        break;
-      }
-      case 2: {
-        StatusOr<int> v = ParseCount(value, key, 0);
-        if (!v.ok()) {
-          return v.status();
-        }
-        out.nodes_per_rack = v.value();
-        break;
-      }
-      case 3: {
-        StatusOr<double> v = ParseGbps(value, key);
-        if (!v.ok()) {
-          return v.status();
-        }
-        out.nic_gbps = v.value();
-        break;
-      }
-      default: {
-        StatusOr<double> v = ParseGbps(value, key);
-        if (!v.ok()) {
-          return v.status();
-        }
-        out.rack_gbps = v.value();
-        break;
-      }
-    }
-  }
-  // Each factor is individually bounded by 1 << 20, but the *product* is the machine size;
-  // widen before multiplying (int would overflow at the limits) and bound the total.
+      }));
+  // Each factor is individually bounded by kMaxSpecCount, but the *product* is the machine
+  // size; widen before multiplying (int would overflow at the limits) and bound the total.
   const std::int64_t total_gpus = std::int64_t{out.nodes} * out.gpus_per_node;
   if (total_gpus > kMaxClusterGpus) {
-    return MalformedSpec(0, "nodes * gpus_per_node = " + std::to_string(total_gpus) +
-                                " GPUs exceeds the supported maximum of " +
-                                std::to_string(kMaxClusterGpus));
+    return reader.Error(0, "nodes * gpus_per_node = " + std::to_string(total_gpus) +
+                               " GPUs exceeds the supported maximum of " +
+                               std::to_string(kMaxClusterGpus));
   }
   return out;
 }

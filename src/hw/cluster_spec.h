@@ -8,7 +8,7 @@
 //
 // Parse and Render round-trip: Render(Parse(Render(s))) == Render(s) for every valid spec,
 // and malformed specs return a typed error carrying the byte offset of the offending field
-// (same convention as sim/fault_plan.cc).
+// (util/spec.h, shared by every spec grammar).
 #ifndef HARMONY_SRC_HW_CLUSTER_SPEC_H_
 #define HARMONY_SRC_HW_CLUSTER_SPEC_H_
 

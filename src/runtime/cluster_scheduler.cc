@@ -1,11 +1,9 @@
 #include "src/runtime/cluster_scheduler.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -14,6 +12,7 @@
 #include "src/util/check.h"
 #include "src/util/json.h"
 #include "src/util/rng.h"
+#include "src/util/spec.h"
 #include "src/util/table.h"
 #include "src/util/units.h"
 
@@ -27,56 +26,6 @@ constexpr double kReservationEps = 1e-9;
 // Generated traces are bounded so a fat-fingered rate can't silently turn into a
 // multi-hour simulation; the limit is far above any bench or test workload.
 constexpr int kMaxTraceJobs = 4096;
-
-struct Field {
-  std::string text;
-  std::size_t offset = 0;  // absolute byte offset in the spec string
-};
-
-Status Malformed(const char* what, std::size_t offset, const std::string& why) {
-  return InvalidArgumentError("malformed " + std::string(what) + " spec: " + why +
-                              " (at byte " + std::to_string(offset) +
-                              "; see --help for the grammar)");
-}
-
-std::vector<Field> Split(const std::string& s, char sep) {
-  std::vector<Field> out;
-  std::string::size_type start = 0;
-  for (;;) {
-    const auto pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(Field{s.substr(start), start});
-      return out;
-    }
-    out.push_back(Field{s.substr(start, pos - start), start});
-    start = pos + 1;
-  }
-}
-
-StatusOr<double> ParseNonNegative(const char* what, const Field& field,
-                                  const std::string& key) {
-  char* end = nullptr;
-  const double value = std::strtod(field.text.c_str(), &end);
-  if (field.text.empty() || end != field.text.c_str() + field.text.size() ||
-      !std::isfinite(value) || value < 0.0) {
-    return Malformed(what, field.offset, key + " must be a finite number >= 0, got '" +
-                                             field.text + "'");
-  }
-  return value;
-}
-
-StatusOr<int> ParseIntField(const char* what, const Field& field, const std::string& key,
-                            int min_value, int max_value) {
-  char* end = nullptr;
-  const long value = std::strtol(field.text.c_str(), &end, 10);
-  if (field.text.empty() || end != field.text.c_str() + field.text.size() ||
-      value < min_value || value > max_value) {
-    return Malformed(what, field.offset,
-                     key + " must be an integer in [" + std::to_string(min_value) + ", " +
-                         std::to_string(max_value) + "], got '" + field.text + "'");
-  }
-  return static_cast<int>(value);
-}
 
 bool ValidTenantName(const std::string& name) {
   if (name.empty()) {
@@ -113,16 +62,17 @@ std::string JobSpec::ToString() const {
 }
 
 StatusOr<std::vector<JobSpec>> ParseJobsSpec(const std::string& spec) {
+  const SpecReader reader("jobs spec", "--jobs");
   std::vector<JobSpec> jobs;
-  for (const Field& entry : Split(spec, ';')) {
+  for (const SpecField& entry : SplitSpec(spec, ';')) {
     if (entry.text.empty()) {
       continue;
     }
     const auto at = entry.text.find('@');
     if (at == std::string::npos) {
-      return Malformed("jobs", entry.offset,
-                       "expected (train|serve)@<arrival>[:key=value,...], got '" +
-                           entry.text + "'");
+      return reader.Error(entry.offset,
+                          "expected (train|serve)@<arrival>[:key=value,...], got '" +
+                              entry.text + "'");
     }
     JobSpec job;
     const std::string kind = entry.text.substr(0, at);
@@ -133,130 +83,72 @@ StatusOr<std::vector<JobSpec>> ParseJobsSpec(const std::string& spec) {
       job.scheme = Scheme::kServing;
       job.microbatch_size = 1;
     } else {
-      return Malformed("jobs", entry.offset,
-                       "job kind must be 'train' or 'serve', got '" + kind + "'");
+      return reader.Error(entry.offset,
+                          "job kind must be 'train' or 'serve', got '" + kind + "'");
     }
     const auto colon = entry.text.find(':', at + 1);
-    const std::string when_text = entry.text.substr(
-        at + 1, colon == std::string::npos ? std::string::npos : colon - at - 1);
-    const StatusOr<double> when =
-        ParseNonNegative("jobs", Field{when_text, entry.offset + at + 1}, "arrival time");
-    if (!when.ok()) {
-      return when.status();
+    const SpecField when{entry.text.substr(at + 1, colon == std::string::npos
+                                                       ? std::string::npos
+                                                       : colon - at - 1),
+                         entry.offset + at + 1};
+    HARMONY_RETURN_IF_ERROR(reader.ReadDouble("arrival time", when, 0.0, kSpecMaxDouble,
+                                              "a finite number >= 0", &job.arrival));
+    if (colon == std::string::npos) {
+      jobs.push_back(std::move(job));
+      continue;
     }
-    job.arrival = when.value();
-    bool seen[8] = {};  // tenant model scheme gpus iters mb mbs prio
-    if (colon != std::string::npos) {
-      const std::string opts = entry.text.substr(colon + 1);
-      for (const Field& raw : Split(opts, ',')) {
-        const Field kv{raw.text, entry.offset + colon + 1 + raw.offset};
-        if (kv.text.empty()) {
-          continue;
-        }
-        const auto eq = kv.text.find('=');
-        if (eq == std::string::npos) {
-          return Malformed("jobs", kv.offset, "expected key=value, got '" + kv.text + "'");
-        }
-        const std::string key = kv.text.substr(0, eq);
-        const Field value{kv.text.substr(eq + 1), kv.offset + eq + 1};
-        int slot;
-        if (key == "tenant") {
-          slot = 0;
-        } else if (key == "model") {
-          slot = 1;
-        } else if (key == "scheme") {
-          slot = 2;
-        } else if (key == "gpus") {
-          slot = 3;
-        } else if (key == "iters") {
-          slot = 4;
-        } else if (key == "mb") {
-          slot = 5;
-        } else if (key == "mbs") {
-          slot = 6;
-        } else if (key == "prio") {
-          slot = 7;
-        } else {
-          return Malformed("jobs", kv.offset, "unknown job option '" + key + "'");
-        }
-        if (seen[slot]) {
-          return Malformed("jobs", kv.offset, "duplicate job option '" + key + "'");
-        }
-        seen[slot] = true;
-        switch (slot) {
-          case 0:
-            if (!ValidTenantName(value.text)) {
-              return Malformed("jobs", value.offset,
-                               "tenant must be a nonempty [A-Za-z0-9_.-]+ name, got '" +
-                                   value.text + "'");
+    const auto count = [&reader](const SpecOption& o, int min, int* value) {
+      return reader.ReadInt(o.key, o.value, min, kMaxSpecCount,
+                            "an integer in [" + std::to_string(min) + ", " +
+                                std::to_string(kMaxSpecCount) + "]",
+                            value);
+    };
+    HARMONY_RETURN_IF_ERROR(reader.ForEachOption(
+        SpecField{entry.text.substr(colon + 1), entry.offset + colon + 1}, "job",
+        {"tenant", "model", "scheme", "gpus", "iters", "mb", "mbs", "prio"},
+        [&](const SpecOption& o) -> Status {
+          switch (o.slot) {
+            case 0:
+              if (!ValidTenantName(o.value.text)) {
+                return reader.Expected("tenant", o.value,
+                                       "a nonempty [A-Za-z0-9_.-]+ name");
+              }
+              job.tenant = o.value.text;
+              return Status::Ok();
+            case 1:
+              if (o.value.text.empty()) {
+                return reader.Error(o.value.offset, "model must be nonempty");
+              }
+              job.model = o.value.text;
+              return Status::Ok();
+            case 2: {
+              if (job.kind == JobKind::kServing) {
+                return reader.Error(o.offset,
+                                    "serving jobs have a fixed scheme; drop 'scheme='");
+              }
+              const StatusOr<Scheme> scheme = SchemeByName(o.value.text);
+              if (!scheme.ok() || scheme.value() == Scheme::kServing) {
+                return reader.Error(o.value.offset,
+                                    "unknown training scheme '" + o.value.text +
+                                        "' (serving jobs use serve@; training schemes are "
+                                        "baseline-dp, baseline-pp, harmony-dp, harmony-pp, "
+                                        "harmony-tp)");
+              }
+              job.scheme = scheme.value();
+              return Status::Ok();
             }
-            job.tenant = value.text;
-            break;
-          case 1:
-            if (value.text.empty()) {
-              return Malformed("jobs", value.offset, "model must be nonempty");
-            }
-            job.model = value.text;
-            break;
-          case 2: {
-            if (job.kind == JobKind::kServing) {
-              return Malformed("jobs", kv.offset,
-                               "serving jobs have a fixed scheme; drop 'scheme='");
-            }
-            const StatusOr<Scheme> scheme = SchemeByName(value.text);
-            if (!scheme.ok() || scheme.value() == Scheme::kServing) {
-              return Malformed("jobs", value.offset,
-                               "unknown training scheme '" + value.text +
-                                   "' (serving jobs use serve@; training schemes are "
-                                   "baseline-dp, baseline-pp, harmony-dp, harmony-pp, "
-                                   "harmony-tp)");
-            }
-            job.scheme = scheme.value();
-            break;
+            case 3:
+              return count(o, 1, &job.gpus);
+            case 4:
+              return count(o, 1, &job.iterations);
+            case 5:
+              return count(o, 1, &job.microbatches);
+            case 6:
+              return count(o, 1, &job.microbatch_size);
+            default:
+              return count(o, 0, &job.priority);
           }
-          case 3: {
-            const StatusOr<int> v = ParseIntField("jobs", value, key, 1, 1 << 20);
-            if (!v.ok()) {
-              return v.status();
-            }
-            job.gpus = v.value();
-            break;
-          }
-          case 4: {
-            const StatusOr<int> v = ParseIntField("jobs", value, key, 1, 1 << 20);
-            if (!v.ok()) {
-              return v.status();
-            }
-            job.iterations = v.value();
-            break;
-          }
-          case 5: {
-            const StatusOr<int> v = ParseIntField("jobs", value, key, 1, 1 << 20);
-            if (!v.ok()) {
-              return v.status();
-            }
-            job.microbatches = v.value();
-            break;
-          }
-          case 6: {
-            const StatusOr<int> v = ParseIntField("jobs", value, key, 1, 1 << 20);
-            if (!v.ok()) {
-              return v.status();
-            }
-            job.microbatch_size = v.value();
-            break;
-          }
-          default: {
-            const StatusOr<int> v = ParseIntField("jobs", value, key, 0, 1 << 20);
-            if (!v.ok()) {
-              return v.status();
-            }
-            job.priority = v.value();
-            break;
-          }
-        }
-      }
-    }
+        }));
     jobs.push_back(std::move(job));
   }
   return jobs;
@@ -265,135 +157,62 @@ StatusOr<std::vector<JobSpec>> ParseJobsSpec(const std::string& spec) {
 StatusOr<std::vector<JobSpec>> GenerateTrace(const std::string& spec, int gpus_per_node,
                                              int num_nodes,
                                              const std::string& default_model) {
+  const SpecReader reader("trace spec", "--arrivals");
   const auto colon = spec.find(':');
   const std::string kind = spec.substr(0, colon == std::string::npos ? spec.size() : colon);
   const bool poisson = kind == "poisson";
   const bool bursty = kind == "bursty";
   const bool diurnal = kind == "diurnal";
   if (!poisson && !bursty && !diurnal) {
-    return Malformed("trace", 0,
-                     "trace kind must be poisson, bursty, or diurnal, got '" + kind + "'");
+    return reader.Error(0, "trace kind must be poisson, bursty, or diurnal, got '" + kind +
+                               "'");
   }
   bool seen[6] = {};  // seed rate horizon serve_frac burst period
   std::uint64_t seed = 0;
   double rate = 0.0, horizon = 0.0, serve_frac = 0.25, period = 0.0;
   int burst = 0;
   if (colon != std::string::npos) {
-    for (const Field& kv : Split(spec.substr(colon + 1), ',')) {
-      const Field entry{kv.text, colon + 1 + kv.offset};
-      if (entry.text.empty()) {
-        continue;
-      }
-      const auto eq = entry.text.find('=');
-      if (eq == std::string::npos) {
-        return Malformed("trace", entry.offset,
-                         "expected key=value, got '" + entry.text + "'");
-      }
-      const std::string key = entry.text.substr(0, eq);
-      const Field value{entry.text.substr(eq + 1), entry.offset + eq + 1};
-      int slot;
-      if (key == "seed") {
-        slot = 0;
-      } else if (key == "rate") {
-        slot = 1;
-      } else if (key == "horizon") {
-        slot = 2;
-      } else if (key == "serve_frac") {
-        slot = 3;
-      } else if (key == "burst") {
-        slot = 4;
-      } else if (key == "period") {
-        slot = 5;
-      } else {
-        return Malformed("trace", entry.offset, "unknown trace option '" + key + "'");
-      }
-      if (seen[slot]) {
-        return Malformed("trace", entry.offset, "duplicate trace option '" + key + "'");
-      }
-      seen[slot] = true;
-      switch (slot) {
-        case 0: {
-          char* end = nullptr;
-          errno = 0;
-          const unsigned long long parsed = std::strtoull(value.text.c_str(), &end, 10);
-          if (value.text.empty() || end != value.text.c_str() + value.text.size() ||
-              errno == ERANGE) {
-            return Malformed("trace", value.offset,
-                             "seed must be an unsigned integer, got '" + value.text + "'");
+    HARMONY_RETURN_IF_ERROR(reader.ForEachOption(
+        SpecField{spec.substr(colon + 1), colon + 1}, "trace",
+        {"seed", "rate", "horizon", "serve_frac", "burst", "period"},
+        [&](const SpecOption& o) {
+          seen[o.slot] = true;
+          switch (o.slot) {
+            case 0:
+              return reader.ReadU64(o.key, o.value, &seed);
+            case 1:
+              return reader.ReadDouble(o.key, o.value, kSpecPositive, kSpecMaxDouble,
+                                       "> 0 jobs/s", &rate);
+            case 2:
+              return reader.ReadDouble(o.key, o.value, kSpecPositive, kSpecMaxDouble,
+                                       "> 0 seconds", &horizon);
+            case 3:
+              return reader.ReadDouble(o.key, o.value, 0.0, 1.0, "in [0, 1]", &serve_frac);
+            case 4:
+              return reader.ReadInt(o.key, o.value, 1, kMaxTraceJobs,
+                                    "an integer in [1, " + std::to_string(kMaxTraceJobs) + "]",
+                                    &burst);
+            default:
+              return reader.ReadDouble(o.key, o.value, kSpecPositive, kSpecMaxDouble,
+                                       "> 0 seconds", &period);
           }
-          seed = parsed;
-          break;
-        }
-        case 1: {
-          const StatusOr<double> v = ParseNonNegative("trace", value, key);
-          if (!v.ok()) {
-            return v.status();
-          }
-          if (v.value() <= 0.0) {
-            return Malformed("trace", value.offset, "rate must be > 0 jobs/s");
-          }
-          rate = v.value();
-          break;
-        }
-        case 2: {
-          const StatusOr<double> v = ParseNonNegative("trace", value, key);
-          if (!v.ok()) {
-            return v.status();
-          }
-          if (v.value() <= 0.0) {
-            return Malformed("trace", value.offset, "horizon must be > 0 seconds");
-          }
-          horizon = v.value();
-          break;
-        }
-        case 3: {
-          const StatusOr<double> v = ParseNonNegative("trace", value, key);
-          if (!v.ok()) {
-            return v.status();
-          }
-          if (v.value() > 1.0) {
-            return Malformed("trace", value.offset, "serve_frac must be in [0, 1]");
-          }
-          serve_frac = v.value();
-          break;
-        }
-        case 4: {
-          const StatusOr<int> v = ParseIntField("trace", value, key, 1, kMaxTraceJobs);
-          if (!v.ok()) {
-            return v.status();
-          }
-          burst = v.value();
-          break;
-        }
-        default: {
-          const StatusOr<double> v = ParseNonNegative("trace", value, key);
-          if (!v.ok()) {
-            return v.status();
-          }
-          if (v.value() <= 0.0) {
-            return Malformed("trace", value.offset, "period must be > 0 seconds");
-          }
-          period = v.value();
-          break;
-        }
-      }
-    }
+        }));
   }
   if (!seen[0] || !seen[1] || !seen[2]) {
-    return Malformed("trace", 0, "seed=, rate=, and horizon= are required");
+    return reader.Error(0, "seed=, rate=, and horizon= are required");
   }
   if (bursty && (burst == 0 || period == 0.0)) {
-    return Malformed("trace", 0, "bursty traces require burst= and period=");
+    return reader.Error(0, "bursty traces require burst= and period=");
   }
   if (diurnal && period == 0.0) {
-    return Malformed("trace", 0, "diurnal traces require period=");
+    return reader.Error(0, "diurnal traces require period=");
   }
   if (poisson && (seen[4] || seen[5])) {
-    return Malformed("trace", 0, "burst=/period= do not apply to poisson traces");
+    return reader.Error(0, "burst=/period= do not apply to poisson traces");
   }
   // Diurnal *requires* period=, so only burst= is foreign there.
   if (diurnal && seen[4]) {
-    return Malformed("trace", 0, "burst= only applies to bursty traces");
+    return reader.Error(0, "burst= only applies to bursty traces");
   }
 
   Rng rng(seed);
@@ -413,9 +232,8 @@ StatusOr<std::vector<JobSpec>> GenerateTrace(const std::string& spec, int gpus_p
     }
     arrivals.push_back(t);
     if (static_cast<int>(arrivals.size()) > kMaxTraceJobs) {
-      return Malformed("trace", 0,
-                       "trace generates more than " + std::to_string(kMaxTraceJobs) +
-                           " jobs; lower rate or horizon");
+      return reader.Error(0, "trace generates more than " + std::to_string(kMaxTraceJobs) +
+                                 " jobs; lower rate or horizon");
     }
   }
   if (bursty) {
@@ -426,9 +244,8 @@ StatusOr<std::vector<JobSpec>> GenerateTrace(const std::string& spec, int gpus_p
         arrivals.push_back(b + 1e-3 * static_cast<double>(i));
       }
       if (static_cast<int>(arrivals.size()) > kMaxTraceJobs) {
-        return Malformed("trace", 0,
-                         "trace generates more than " + std::to_string(kMaxTraceJobs) +
-                             " jobs; lower rate, burst, or horizon");
+        return reader.Error(0, "trace generates more than " + std::to_string(kMaxTraceJobs) +
+                                   " jobs; lower rate, burst, or horizon");
       }
     }
   }
@@ -477,67 +294,42 @@ const TenantQuota& QuotaMap::For(const std::string& tenant) const {
 }
 
 StatusOr<QuotaMap> ParseQuotaSpec(const std::string& spec) {
+  const SpecReader reader("quota spec", "--quota");
   QuotaMap out;
   bool seen_fallback = false;
-  for (const Field& entry : Split(spec, ';')) {
+  for (const SpecField& entry : SplitSpec(spec, ';')) {
     if (entry.text.empty()) {
       continue;
     }
     const auto colon = entry.text.find(':');
     if (colon == std::string::npos) {
-      return Malformed("quota", entry.offset,
-                       "expected <tenant|*>:key=value[,key=value], got '" + entry.text +
-                           "'");
+      return reader.Error(entry.offset, "expected <tenant|*>:key=value[,key=value], got '" +
+                                            entry.text + "'");
     }
     const std::string tenant = entry.text.substr(0, colon);
     if (tenant != "*" && !ValidTenantName(tenant)) {
-      return Malformed("quota", entry.offset,
-                       "tenant must be '*' or a [A-Za-z0-9_.-]+ name, got '" + tenant +
-                           "'");
+      return reader.Error(entry.offset,
+                          "tenant must be '*' or a [A-Za-z0-9_.-]+ name, got '" + tenant + "'");
     }
     if (tenant == "*" ? seen_fallback : out.tenants.count(tenant) > 0) {
-      return Malformed("quota", entry.offset, "duplicate quota for tenant '" + tenant + "'");
+      return reader.Error(entry.offset, "duplicate quota for tenant '" + tenant + "'");
     }
     TenantQuota quota;
-    bool seen[2] = {};  // mem_gib bw
-    for (const Field& raw : Split(entry.text.substr(colon + 1), ',')) {
-      const Field kv{raw.text, entry.offset + colon + 1 + raw.offset};
-      if (kv.text.empty()) {
-        continue;
-      }
-      const auto eq = kv.text.find('=');
-      if (eq == std::string::npos) {
-        return Malformed("quota", kv.offset, "expected key=value, got '" + kv.text + "'");
-      }
-      const std::string key = kv.text.substr(0, eq);
-      const Field value{kv.text.substr(eq + 1), kv.offset + eq + 1};
-      int slot;
-      if (key == "mem_gib") {
-        slot = 0;
-      } else if (key == "bw") {
-        slot = 1;
-      } else {
-        return Malformed("quota", kv.offset, "unknown quota option '" + key + "'");
-      }
-      if (seen[slot]) {
-        return Malformed("quota", kv.offset, "duplicate quota option '" + key + "'");
-      }
-      seen[slot] = true;
-      const StatusOr<double> v = ParseNonNegative("quota", value, key);
-      if (!v.ok()) {
-        return v.status();
-      }
-      if (slot == 0) {
-        quota.host_mem_bytes =
-            static_cast<Bytes>(v.value() * static_cast<double>(kGiB));
-      } else {
-        if (v.value() <= 0.0 || v.value() > 1.0) {
-          return Malformed("quota", value.offset,
-                           "bw must be a bandwidth fraction in (0, 1]");
-        }
-        quota.bw_fraction = v.value();
-      }
-    }
+    HARMONY_RETURN_IF_ERROR(reader.ForEachOption(
+        SpecField{entry.text.substr(colon + 1), entry.offset + colon + 1}, "quota",
+        {"mem_gib", "bw"}, [&](const SpecOption& o) -> Status {
+          if (o.slot == 1) {
+            return reader.ReadDouble(o.key, o.value, kSpecPositive, 1.0,
+                                     "a bandwidth fraction in (0, 1]", &quota.bw_fraction);
+          }
+          double gib = 0.0;
+          const Status read = reader.ReadDouble(o.key, o.value, 0.0, kSpecMaxDouble,
+                                                "a finite number >= 0", &gib);
+          if (read.ok()) {
+            quota.host_mem_bytes = static_cast<Bytes>(gib * static_cast<double>(kGiB));
+          }
+          return read;
+        }));
     if (tenant == "*") {
       seen_fallback = true;
       out.fallback = quota;

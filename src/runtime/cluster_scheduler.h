@@ -50,7 +50,7 @@ struct JobSpec {
   std::string ToString() const;
 };
 
-// ---- grammars (fault_plan-style: typed errors carrying the byte offset) ----
+// ---- grammars (util/spec.h: typed errors carrying the byte offset) ----
 
 // --jobs: semicolon-separated explicit submissions,
 //   (train|serve)@<arrival>:key=value,...
@@ -59,7 +59,7 @@ struct JobSpec {
 // baseline-pp>. Every key is optional (JobSpec defaults apply); duplicates reject.
 StatusOr<std::vector<JobSpec>> ParseJobsSpec(const std::string& spec);
 
-// --trace: seeded arrival-trace generators,
+// --arrivals: seeded arrival-trace generators,
 //   poisson:seed=<s>,rate=<jobs/s>,horizon=<sec>[,serve_frac=<0..1>]
 //   bursty:seed=<s>,rate=<jobs/s>,horizon=<sec>,burst=<n>,period=<sec>[,serve_frac=..]
 //   diurnal:seed=<s>,rate=<jobs/s>,horizon=<sec>,period=<sec>[,serve_frac=..]

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "src/util/rng.h"
+#include "src/util/spec.h"
 
 namespace harmony {
 namespace {
@@ -25,196 +28,96 @@ std::string FormatDuration(double duration) {
   return duration == 0.0 ? "inf" : FormatFixed(duration);
 }
 
-// A field within one event, remembering where it starts in the original spec so parse
-// errors can point at the offending byte (same convention as util/json.cc).
-struct Field {
-  std::string text;
-  std::size_t offset = 0;  // absolute byte offset in the spec string
-};
-
-Status MalformedEvent(const std::string& event, std::size_t offset,
-                      const std::string& why) {
-  return InvalidArgumentError("malformed fault event '" + event + "': " + why +
-                              " (at byte " + std::to_string(offset) +
-                              "; see --help for the --faults grammar)");
-}
-
-// Splits on `sep`, keeping empty fields and recording each field's absolute offset
-// (`base` = offset of `s` within the full spec).
-std::vector<Field> Split(const std::string& s, char sep, std::size_t base) {
-  std::vector<Field> out;
-  std::string::size_type start = 0;
-  for (;;) {
-    const auto pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(Field{s.substr(start), base + start});
-      return out;
-    }
-    out.push_back(Field{s.substr(start, pos - start), base + start});
-    start = pos + 1;
-  }
-}
-
-StatusOr<double> ParseDouble(const std::string& event, const Field& field,
-                             const std::string& what) {
-  char* end = nullptr;
-  const double value = std::strtod(field.text.c_str(), &end);
-  if (field.text.empty() || end != field.text.c_str() + field.text.size() ||
-      !std::isfinite(value)) {
-    return MalformedEvent(event, field.offset,
-                          what + " must be a finite number, got '" + field.text + "'");
-  }
-  return value;
-}
-
-// Scales are multipliers in (0, 1]; zero, negative, out-of-range and NaN all reject.
-StatusOr<double> ParseScale(const std::string& event, const Field& field) {
-  StatusOr<double> scale = ParseDouble(event, field, "scale");
-  if (!scale.ok()) {
-    return scale.status();
-  }
-  if (scale.value() <= 0.0 || scale.value() > 1.0) {
-    return MalformedEvent(event, field.offset, "scale must be in (0, 1]");
-  }
-  return scale.value();
-}
-
-// Durations are strictly positive seconds or the literal "inf" (permanent; internal
-// sentinel 0.0). Zero, negative and NaN durations reject at parse time.
-StatusOr<double> ParseDurationField(const std::string& event, const Field& field) {
-  if (field.text == "inf") {
-    return 0.0;
-  }
-  StatusOr<double> duration = ParseDouble(event, field, "duration");
-  if (!duration.ok()) {
-    return duration.status();
-  }
-  if (duration.value() <= 0.0) {
-    return MalformedEvent(event, field.offset,
-                          "duration must be > 0 seconds or 'inf' (permanent)");
-  }
-  return duration.value();
-}
-
-StatusOr<int> ParseGpuField(const std::string& event, const Field& field) {
-  if (field.text.rfind("gpu", 0) != 0 || field.text.size() == 3) {
-    return MalformedEvent(event, field.offset,
-                          "expected a target like 'gpu2', got '" + field.text + "'");
-  }
-  const std::string digits = field.text.substr(3);
-  char* end = nullptr;
-  const long gpu = std::strtol(digits.c_str(), &end, 10);
-  if (end != digits.c_str() + digits.size() || gpu < 0) {
-    return MalformedEvent(event, field.offset,
-                          "expected a target like 'gpu2', got '" + field.text + "'");
-  }
-  return static_cast<int>(gpu);
-}
-
-// Parses "gpu<i>" or "host" (host encodes as gpu = -1).
-StatusOr<int> ParseTargetField(const std::string& event, const Field& field) {
-  if (field.text == "host") {
-    return -1;
-  }
-  return ParseGpuField(event, field);
-}
-
-// Non-negative index following `prefix`, or -1 when the field does not start with it.
-// "nic" alone (no digits) and negative/garbage indices reject via the caller.
-int ParseIndexAfter(const std::string& text, const char* prefix) {
-  const std::size_t len = std::char_traits<char>::length(prefix);
-  if (text.rfind(prefix, 0) != 0 || text.size() == len) {
-    return -1;
-  }
-  const std::string digits = text.substr(len);
-  char* end = nullptr;
-  const long value = std::strtol(digits.c_str(), &end, 10);
-  if (end != digits.c_str() + digits.size() || value < 0) {
-    return -1;
-  }
-  return static_cast<int>(value);
-}
-
-// Network-capable target for flow_flap / brownout: "gpu<i>", "host", "nic<i>" or "rack<i>".
-// Exactly one of the out-params is set (host = gpu stays -1 with nic/rack -1).
-Status ParseNetworkTargetField(const std::string& event, const Field& field, FaultEvent* e) {
-  if (field.text.rfind("nic", 0) == 0) {
-    const int nic = ParseIndexAfter(field.text, "nic");
-    if (nic < 0) {
-      return MalformedEvent(event, field.offset,
-                            "expected a target like 'nic0', got '" + field.text + "'");
-    }
-    e->nic = nic;
+// The (scale, duration) tail shared by degrade, mem, brownout and gpu_slow. Scales are
+// multipliers in (0, 1]; zero, negative, out-of-range and NaN all reject. Durations are
+// strictly positive seconds or the literal "inf" (permanent; internal sentinel 0.0).
+Status ParseScaleAndDuration(const SpecReader& reader, const SpecField& scale,
+                             const SpecField& duration, FaultEvent* e) {
+  HARMONY_RETURN_IF_ERROR(
+      reader.ReadDouble("scale", scale, kSpecPositive, 1.0, "in (0, 1]", &e->scale));
+  if (duration.text == "inf") {
+    e->duration = 0.0;
     return Status::Ok();
   }
-  if (field.text.rfind("rack", 0) == 0) {
-    const int rack = ParseIndexAfter(field.text, "rack");
-    if (rack < 0) {
-      return MalformedEvent(event, field.offset,
-                            "expected a target like 'rack0', got '" + field.text + "'");
-    }
-    e->rack = rack;
+  return reader.ReadDouble("duration", duration, kSpecPositive, kSpecMaxDouble,
+                           "> 0 seconds or 'inf' (permanent)", &e->duration);
+}
+
+// Non-negative index following `prefix`, or -1 when the field is not `prefix` + digits.
+int ParseIndexAfter(const std::string& text, std::string_view prefix) {
+  if (text.rfind(prefix, 0) != 0) {
+    return -1;
+  }
+  return ParseSpecInt(std::string_view(text).substr(prefix.size()), 0,
+                      std::numeric_limits<int>::max())
+      .value_or(-1);
+}
+
+// Parses "gpu<i>", or also "host" (encoded as gpu = -1) when `allow_host`.
+Status ParseGpuField(const SpecReader& reader, const SpecField& field, bool allow_host,
+                     int* gpu) {
+  if (allow_host && field.text == "host") {
+    *gpu = -1;
     return Status::Ok();
   }
-  StatusOr<int> target = ParseTargetField(event, field);
-  if (!target.ok()) {
-    return target.status();
+  *gpu = ParseIndexAfter(field.text, "gpu");
+  if (*gpu < 0) {
+    return reader.Error(field.offset,
+                        "expected a target like 'gpu2', got '" + field.text + "'");
   }
-  e->gpu = target.value();
   return Status::Ok();
 }
 
-StatusOr<FaultPlan> ParseRandSpec(const std::string& event, std::size_t offset) {
+// Network-capable target for flow_flap / brownout: "gpu<i>", "host", "nic<i>" or "rack<i>".
+// Exactly one of gpu/nic/rack is set (host = gpu stays -1 with nic/rack -1).
+Status ParseNetworkTargetField(const SpecReader& reader, const SpecField& field,
+                               FaultEvent* e) {
+  for (const auto& [prefix, index] : {std::pair{"nic", &e->nic}, std::pair{"rack", &e->rack}}) {
+    if (field.text.rfind(prefix, 0) == 0) {
+      *index = ParseIndexAfter(field.text, prefix);
+      if (*index < 0) {
+        return reader.Error(field.offset, "expected a target like '" + std::string(prefix) +
+                                              "0', got '" + field.text + "'");
+      }
+      return Status::Ok();
+    }
+  }
+  return ParseGpuField(reader, field, /*allow_host=*/true, &e->gpu);
+}
+
+StatusOr<FaultPlan> ParseRandSpec(const SpecReader& reader, const SpecField& event) {
   RandomFaultOptions options;
   // event = "rand:key=value,key=value,..."
-  for (const Field& kv : Split(event.substr(5), ',', offset + 5)) {
-    const auto eq = kv.text.find('=');
-    if (eq == std::string::npos) {
-      return MalformedEvent(event, kv.offset,
-                            "rand options must be key=value, got '" + kv.text + "'");
-    }
-    const std::string key = kv.text.substr(0, eq);
-    const Field value{kv.text.substr(eq + 1), kv.offset + eq + 1};
-    if (key == "seed") {
-      options.seed = std::strtoull(value.text.c_str(), nullptr, 10);
-    } else if (key == "mtbf") {
-      StatusOr<double> v = ParseDouble(event, value, "mtbf");
-      if (!v.ok()) {
-        return v.status();
-      }
-      options.mtbf = v.value();
-    } else if (key == "horizon") {
-      StatusOr<double> v = ParseDouble(event, value, "horizon");
-      if (!v.ok()) {
-        return v.status();
-      }
-      options.horizon = v.value();
-    } else if (key == "gpus") {
-      options.num_gpus = static_cast<int>(std::strtol(value.text.c_str(), nullptr, 10));
-    } else if (key == "nics" || key == "racks") {
-      char* end = nullptr;
-      const long count = std::strtol(value.text.c_str(), &end, 10);
-      if (value.text.empty() || end != value.text.c_str() + value.text.size() || count < 0) {
-        return MalformedEvent(event, value.offset,
-                              key + " must be a non-negative integer, got '" + value.text +
-                                  "'");
-      }
-      (key == "nics" ? options.num_nics : options.num_racks) = static_cast<int>(count);
-    } else if (key == "fail" || key == "ext" || key == "ckpt") {
-      const bool on = value.text == "1" || value.text == "true";
-      if (!on && value.text != "0" && value.text != "false") {
-        return MalformedEvent(event, value.offset,
-                              key + " must be 0, 1, true or false, got '" + value.text + "'");
-      }
-      (key == "fail" ? options.allow_fail_stop
-                     : key == "ext" ? options.transient : options.ckpt_faults) = on;
-    } else {
-      return MalformedEvent(event, kv.offset, "unknown rand option '" + key + "'");
-    }
-  }
-  if (options.mtbf <= 0.0 || options.horizon <= 0.0 || options.num_gpus <= 0) {
-    return MalformedEvent(event, offset, "mtbf, horizon and gpus must all be positive");
-  }
+  HARMONY_RETURN_IF_ERROR(reader.ForEachOption(
+      SpecField{event.text.substr(5), event.offset + 5}, "rand",
+      {"seed", "mtbf", "horizon", "gpus", "nics", "racks", "fail", "ext", "ckpt"},
+      [&](const SpecOption& o) {
+        switch (o.slot) {
+          case 0:
+            return reader.ReadU64(o.key, o.value, &options.seed);
+          case 1:
+            return reader.ReadDouble(o.key, o.value, kSpecPositive, kSpecMaxDouble,
+                                     "> 0 seconds", &options.mtbf);
+          case 2:
+            return reader.ReadDouble(o.key, o.value, kSpecPositive, kSpecMaxDouble,
+                                     "> 0 seconds", &options.horizon);
+          case 3:
+            return reader.ReadInt(o.key, o.value, 1, kMaxSpecCount, "a positive integer",
+                                  &options.num_gpus);
+          case 4:
+            return reader.ReadInt(o.key, o.value, 0, kMaxSpecCount,
+                                  "a non-negative integer", &options.num_nics);
+          case 5:
+            return reader.ReadInt(o.key, o.value, 0, kMaxSpecCount,
+                                  "a non-negative integer", &options.num_racks);
+          case 6:
+            return reader.ReadBool(o.key, o.value, &options.allow_fail_stop);
+          case 7:
+            return reader.ReadBool(o.key, o.value, &options.transient);
+          default:
+            return reader.ReadBool(o.key, o.value, &options.ckpt_faults);
+        }
+      }));
   return MakeRandomFaultPlan(options);
 }
 
@@ -308,14 +211,15 @@ std::string FaultPlan::ToString() const {
 
 StatusOr<FaultPlan> ParseFaultSpec(const std::string& spec) {
   FaultPlan plan;
-  for (const Field& item : Split(spec, ';', 0)) {
+  for (const SpecField& item : SplitSpec(spec, ';')) {
     const std::string& event = item.text;
     const std::size_t offset = item.offset;
     if (event.empty()) {
       continue;
     }
+    const SpecReader reader("fault event '" + event + "'", "--faults");
     if (event.rfind("rand:", 0) == 0) {
-      StatusOr<FaultPlan> random = ParseRandSpec(event, offset);
+      StatusOr<FaultPlan> random = ParseRandSpec(reader, item);
       if (!random.ok()) {
         return random.status();
       }
@@ -326,124 +230,60 @@ StatusOr<FaultPlan> ParseFaultSpec(const std::string& spec) {
     }
     const auto at = event.find('@');
     if (at == std::string::npos) {
-      return MalformedEvent(event, offset, "expected '<kind>@<time>:...'");
+      return reader.Error(offset, "expected '<kind>@<time>:...'");
     }
     const std::string kind = event.substr(0, at);
-    const std::vector<Field> fields = Split(event.substr(at + 1), ':', offset + at + 1);
-    StatusOr<double> time = ParseDouble(event, fields[0], "time");
-    if (!time.ok()) {
-      return time.status();
-    }
-    if (time.value() < 0.0) {
-      return MalformedEvent(event, fields[0].offset, "time must be >= 0");
-    }
-
+    const std::vector<SpecField> fields = SplitSpec(event.substr(at + 1), ':', offset + at + 1);
     FaultEvent e;
-    e.time = time.value();
+    HARMONY_RETURN_IF_ERROR(reader.ReadDouble("time", fields[0], 0.0, kSpecMaxDouble,
+                                              "a finite number >= 0", &e.time));
     if (kind == "fail") {
       if (fields.size() != 2) {
-        return MalformedEvent(event, offset, "expected fail@<t>:gpu<i>");
+        return reader.Error(offset, "expected fail@<t>:gpu<i>");
       }
-      StatusOr<int> gpu = ParseGpuField(event, fields[1]);
-      if (!gpu.ok()) {
-        return gpu.status();
-      }
+      HARMONY_RETURN_IF_ERROR(ParseGpuField(reader, fields[1], /*allow_host=*/false, &e.gpu));
       e.kind = FaultKind::kGpuFailStop;
-      e.gpu = gpu.value();
     } else if (kind == "degrade") {
       if (fields.size() != 4) {
-        return MalformedEvent(event, offset,
-                              "expected degrade@<t>:<gpu<i>|host>:<scale>:<dur>");
+        return reader.Error(offset, "expected degrade@<t>:<gpu<i>|host>:<scale>:<dur>");
       }
-      StatusOr<double> scale = ParseScale(event, fields[2]);
-      if (!scale.ok()) {
-        return scale.status();
-      }
-      StatusOr<double> duration = ParseDurationField(event, fields[3]);
-      if (!duration.ok()) {
-        return duration.status();
-      }
-      e.scale = scale.value();
-      e.duration = duration.value();
-      StatusOr<int> target = ParseTargetField(event, fields[1]);
-      if (!target.ok()) {
-        return target.status();
-      }
-      e.gpu = target.value();
+      HARMONY_RETURN_IF_ERROR(ParseScaleAndDuration(reader, fields[2], fields[3], &e));
+      HARMONY_RETURN_IF_ERROR(ParseGpuField(reader, fields[1], /*allow_host=*/true, &e.gpu));
       e.kind = e.gpu < 0 ? FaultKind::kHostLinkDegrade : FaultKind::kGpuLinkDegrade;
     } else if (kind == "mem") {
       if (fields.size() != 3) {
-        return MalformedEvent(event, offset, "expected mem@<t>:<scale>:<dur>");
+        return reader.Error(offset, "expected mem@<t>:<scale>:<dur>");
       }
-      StatusOr<double> scale = ParseScale(event, fields[1]);
-      if (!scale.ok()) {
-        return scale.status();
-      }
-      StatusOr<double> duration = ParseDurationField(event, fields[2]);
-      if (!duration.ok()) {
-        return duration.status();
-      }
+      HARMONY_RETURN_IF_ERROR(ParseScaleAndDuration(reader, fields[1], fields[2], &e));
       e.kind = FaultKind::kHostMemPressure;
-      e.scale = scale.value();
-      e.duration = duration.value();
     } else if (kind == "flow_flap") {
       if (fields.size() != 2) {
-        return MalformedEvent(event, offset,
-                              "expected flow_flap@<t>:<gpu<i>|host|nic<i>|rack<i>>");
+        return reader.Error(offset, "expected flow_flap@<t>:<gpu<i>|host|nic<i>|rack<i>>");
       }
-      const Status target = ParseNetworkTargetField(event, fields[1], &e);
-      if (!target.ok()) {
-        return target;
-      }
+      HARMONY_RETURN_IF_ERROR(ParseNetworkTargetField(reader, fields[1], &e));
       e.kind = FaultKind::kFlowFlap;
     } else if (kind == "brownout") {
       if (fields.size() != 4) {
-        return MalformedEvent(event, offset,
-                              "expected brownout@<t>:<gpu<i>|host|nic<i>|rack<i>>:<scale>:<dur>");
+        return reader.Error(
+            offset, "expected brownout@<t>:<gpu<i>|host|nic<i>|rack<i>>:<scale>:<dur>");
       }
-      StatusOr<double> scale = ParseScale(event, fields[2]);
-      if (!scale.ok()) {
-        return scale.status();
-      }
-      StatusOr<double> duration = ParseDurationField(event, fields[3]);
-      if (!duration.ok()) {
-        return duration.status();
-      }
-      const Status target = ParseNetworkTargetField(event, fields[1], &e);
-      if (!target.ok()) {
-        return target;
-      }
+      HARMONY_RETURN_IF_ERROR(ParseScaleAndDuration(reader, fields[2], fields[3], &e));
+      HARMONY_RETURN_IF_ERROR(ParseNetworkTargetField(reader, fields[1], &e));
       e.kind = FaultKind::kLinkBrownout;
-      e.scale = scale.value();
-      e.duration = duration.value();
     } else if (kind == "gpu_slow") {
       if (fields.size() != 4) {
-        return MalformedEvent(event, offset,
-                              "expected gpu_slow@<t>:gpu<i>:<scale>:<dur>");
+        return reader.Error(offset, "expected gpu_slow@<t>:gpu<i>:<scale>:<dur>");
       }
-      StatusOr<int> gpu = ParseGpuField(event, fields[1]);
-      if (!gpu.ok()) {
-        return gpu.status();
-      }
-      StatusOr<double> scale = ParseScale(event, fields[2]);
-      if (!scale.ok()) {
-        return scale.status();
-      }
-      StatusOr<double> duration = ParseDurationField(event, fields[3]);
-      if (!duration.ok()) {
-        return duration.status();
-      }
+      HARMONY_RETURN_IF_ERROR(ParseGpuField(reader, fields[1], /*allow_host=*/false, &e.gpu));
+      HARMONY_RETURN_IF_ERROR(ParseScaleAndDuration(reader, fields[2], fields[3], &e));
       e.kind = FaultKind::kGpuSlow;
-      e.gpu = gpu.value();
-      e.scale = scale.value();
-      e.duration = duration.value();
     } else if (kind == "ckpt_corrupt") {
       if (fields.size() != 1) {
-        return MalformedEvent(event, offset, "expected ckpt_corrupt@<t>");
+        return reader.Error(offset, "expected ckpt_corrupt@<t>");
       }
       e.kind = FaultKind::kCkptCorrupt;
     } else {
-      return MalformedEvent(event, offset, "unknown fault kind '" + kind + "'");
+      return reader.Error(offset, "unknown fault kind '" + kind + "'");
     }
     plan.Add(e);
   }

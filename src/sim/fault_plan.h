@@ -60,7 +60,11 @@ class FaultPlan {
   int size() const { return static_cast<int>(events_.size()); }
   const std::vector<FaultEvent>& events() const { return events_; }
 
-  // Semicolon-joined event list; the canonical trace the determinism tests compare.
+  // Semicolon-joined event list for display (harmony_sim's fault plan line, the bench
+  // tables). Times, scales and durations render at millisecond precision (%.3f), so this
+  // is not a lossless canonical form: two plans that differ below a millisecond render
+  // alike. It re-parses (the grammar round-trip tests), but keys that must tell plans
+  // apart, like the tuner's profile memo key, read the events themselves.
   std::string ToString() const;
 
  private:
@@ -80,9 +84,10 @@ class FaultPlan {
 //       [,nics=<n>][,racks=<n>]         seeded RNG-driven schedule over [0, horizon)
 // nic<i> / rack<i> target node i's NIC links / rack i's ToR links on multi-node machines
 // (flow_flap and brownout only).
-// Durations must be > 0 or the literal "inf" (permanent); scales must be in (0, 1].
+// Durations must be > 0 or the literal "inf" (permanent); scales must be in (0, 1]. Each
+// rand option may appear once; empty events and empty rand options are skipped.
 // Malformed specs return an actionable error carrying the byte offset of the offending
-// field instead of crashing.
+// field instead of crashing (util/spec.h).
 StatusOr<FaultPlan> ParseFaultSpec(const std::string& spec);
 
 struct RandomFaultOptions {

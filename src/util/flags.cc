@@ -1,11 +1,10 @@
 #include "src/util/flags.h"
 
 #include <climits>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "src/util/check.h"
+#include "src/util/spec.h"
 
 namespace harmony {
 
@@ -56,51 +55,33 @@ const std::string& FlagParser::Get(const std::string& name) const {
   return it->second.value;
 }
 
-int FlagParser::GetInt(const std::string& name) const {
-  return static_cast<int>(std::strtol(Get(name).c_str(), nullptr, 10));
-}
-
-double FlagParser::GetDouble(const std::string& name) const {
-  return std::strtod(Get(name).c_str(), nullptr);
-}
-
-bool FlagParser::GetBool(const std::string& name) const {
+StatusOr<int> FlagParser::GetCheckedInt(const std::string& name, int min_value) const {
   const std::string& v = Get(name);
-  return v == "true" || v == "1" || v == "yes" || v == "on";
-}
-
-StatusOr<int> FlagParser::GetCheckedInt(const std::string& name) const {
-  const std::string& v = Get(name);
-  char* end = nullptr;
-  const long value = std::strtol(v.c_str(), &end, 10);
-  if (v.empty() || end != v.c_str() + v.size()) {
-    return InvalidArgumentError("--" + name + " expects an integer, got '" + v + "'");
+  const std::optional<int> value = ParseSpecInt(v, min_value, INT_MAX);
+  if (!value) {
+    const std::string bound = min_value == INT_MIN ? "" : " >= " + std::to_string(min_value);
+    return InvalidArgumentError("--" + name + " expects an integer" + bound + ", got '" + v +
+                                "'");
   }
-  if (value < INT_MIN || value > INT_MAX) {
-    return InvalidArgumentError("--" + name + " value '" + v + "' is out of range");
-  }
-  return static_cast<int>(value);
+  return *value;
 }
 
 StatusOr<double> FlagParser::GetCheckedDouble(const std::string& name) const {
   const std::string& v = Get(name);
-  char* end = nullptr;
-  const double value = std::strtod(v.c_str(), &end);
-  if (v.empty() || end != v.c_str() + v.size() || !std::isfinite(value)) {
+  const std::optional<double> value = ParseSpecDouble(v);
+  if (!value) {
     return InvalidArgumentError("--" + name + " expects a finite number, got '" + v + "'");
   }
-  return value;
+  return *value;
 }
 
 StatusOr<bool> FlagParser::GetCheckedBool(const std::string& name) const {
   const std::string& v = Get(name);
-  if (v == "true" || v == "1" || v == "yes" || v == "on") {
-    return true;
+  const std::optional<bool> value = ParseSpecBool(v);
+  if (!value) {
+    return InvalidArgumentError("--" + name + " expects true/false, got '" + v + "'");
   }
-  if (v == "false" || v == "0" || v == "no" || v == "off") {
-    return false;
-  }
-  return InvalidArgumentError("--" + name + " expects true/false, got '" + v + "'");
+  return *value;
 }
 
 std::string FlagParser::Usage(const std::string& program) const {

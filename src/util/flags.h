@@ -5,6 +5,7 @@
 #ifndef HARMONY_SRC_UTIL_FLAGS_H_
 #define HARMONY_SRC_UTIL_FLAGS_H_
 
+#include <climits>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,15 +25,11 @@ class FlagParser {
   Status Parse(int argc, const char* const* argv);
 
   const std::string& Get(const std::string& name) const;
-  // Permissive getters: garbage silently parses as 0/0.0/false (strtol semantics). Prefer
-  // the checked variants below in anything user-facing.
-  int GetInt(const std::string& name) const;
-  double GetDouble(const std::string& name) const;
-  bool GetBool(const std::string& name) const;
 
-  // Checked getters: the whole value must parse, otherwise an actionable error naming the
-  // flag and the offending text (instead of a silent zero).
-  StatusOr<int> GetCheckedInt(const std::string& name) const;
+  // Checked getters: the whole value must parse (util/spec.h), otherwise an actionable
+  // error naming the flag and the offending text (instead of a silent zero). An integer
+  // below `min_value` is an error too.
+  StatusOr<int> GetCheckedInt(const std::string& name, int min_value = INT_MIN) const;
   StatusOr<double> GetCheckedDouble(const std::string& name) const;
   StatusOr<bool> GetCheckedBool(const std::string& name) const;
 

@@ -40,12 +40,10 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-int ResolveThreadCount(int requested) {
-  if (requested >= 1) {
-    return requested;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::max(1, static_cast<int>(hw));
+int ResolveThreadCount(int requested, std::size_t max_useful) {
+  const std::size_t n = requested >= 1 ? static_cast<std::size_t>(requested)
+                                       : std::thread::hardware_concurrency();
+  return static_cast<int>(std::max<std::size_t>(1, std::min(n, max_useful)));
 }
 
 void ParallelFor(ThreadPool& pool, std::size_t n,

@@ -13,6 +13,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -62,8 +63,10 @@ class ThreadPool {
 };
 
 // Resolves a thread-count knob: n >= 1 is taken literally; n <= 0 means "one per hardware
-// thread" (at least 1).
-int ResolveThreadCount(int requested);
+// thread". The result is capped at `max_useful` (the number of tasks the pool will run, so
+// a huge request starts no idle threads) and is at least 1.
+int ResolveThreadCount(int requested,
+                       std::size_t max_useful = std::numeric_limits<std::size_t>::max());
 
 // Runs fn(i) for every i in [0, n) across the pool and waits for all of them. Any exception
 // from a task is rethrown (the first one, in index order).

@@ -1,7 +1,7 @@
 // Multi-tenant scheduler tier (ctest label `sched`, DESIGN.md §13).
 //
 // Five layers of evidence that the job-stream layer is trustworthy:
-//   1. Grammar — --jobs / --trace / --quota specs round-trip (ToString re-parses to
+//   1. Grammar — --jobs / --arrivals / --quota specs round-trip (ToString re-parses to
 //      itself) and malformed specs return typed errors carrying the byte offset.
 //   2. Serving plans — forward-only task shape, and weights never write back (evictions
 //      are clean drops: a served model's weights are immutable).

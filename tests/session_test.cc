@@ -457,10 +457,10 @@ TEST(FlagsTest, ParsesAllForms) {
       .Define("delta", "0.5", "");
   const char* argv[] = {"prog", "--alpha=7", "--beta", "hello", "--gamma"};
   ASSERT_TRUE(flags.Parse(5, argv).ok());
-  EXPECT_EQ(flags.GetInt("alpha"), 7);
+  EXPECT_EQ(flags.GetCheckedInt("alpha").value(), 7);
   EXPECT_EQ(flags.Get("beta"), "hello");
-  EXPECT_TRUE(flags.GetBool("gamma"));
-  EXPECT_DOUBLE_EQ(flags.GetDouble("delta"), 0.5);  // default preserved
+  EXPECT_TRUE(flags.GetCheckedBool("gamma").value());
+  EXPECT_DOUBLE_EQ(flags.GetCheckedDouble("delta").value(), 0.5);  // default preserved
 }
 
 TEST(FlagsTest, RejectsUnknownFlagAndPositional) {

@@ -352,6 +352,12 @@ TEST(FaultPlanTest, MalformedSpecsReturnActionableErrors) {
       "gpu_slow@1:gpu0:0.5:0",  // zero duration
       "ckpt_corrupt@1:gpu0",    // takes no target
       "rand:ext=2",             // ext must be 0|1
+      "rand:seed=abc,mtbf=1,horizon=2",         // non-numeric seed
+      "rand:seed=-3,mtbf=1,horizon=2",          // negative seed must not wrap
+      "rand:gpus=4x,mtbf=1,horizon=2",          // trailing garbage
+      "rand:gpus=4294967300,mtbf=1,horizon=2",  // beyond int range must not truncate
+      "rand:mtbf=1,mtbf=2,horizon=2",           // duplicate rand option
+      "rand:fail=0,fail=1,mtbf=1,horizon=2",    // duplicate rand option
   };
   for (const char* spec : bad) {
     const StatusOr<FaultPlan> plan = ParseFaultSpec(spec);

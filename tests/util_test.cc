@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/util/check.h"
 #include "src/util/json.h"
 #include "src/util/rng.h"
+#include "src/util/spec.h"
 #include "src/util/status.h"
 #include "src/util/table.h"
+#include "src/util/thread_pool.h"
 #include "src/util/units.h"
 
 namespace harmony {
@@ -260,6 +265,143 @@ TEST(JsonNumberTest, ShortestDecimalRoundTripsExactly) {
   EXPECT_EQ(JsonNumber(86400.001), "86400.001");
   EXPECT_EQ(JsonNumber(0.1), "0.1");
   EXPECT_EQ(JsonNumber(2.0), "2");
+}
+
+TEST(SpecReaderTest, SplitKeepsEmptyFieldsAndOffsetsFromBase) {
+  const std::vector<SpecField> fields = SplitSpec("a,,bc,", ',', 10);
+  ASSERT_EQ(fields.size(), 4u);
+  EXPECT_EQ(fields[0].text, "a");
+  EXPECT_EQ(fields[0].offset, 10u);
+  EXPECT_EQ(fields[1].text, "");
+  EXPECT_EQ(fields[1].offset, 12u);
+  EXPECT_EQ(fields[2].text, "bc");
+  EXPECT_EQ(fields[2].offset, 13u);
+  EXPECT_EQ(fields[3].text, "");
+  EXPECT_EQ(fields[3].offset, 16u);
+}
+
+TEST(SpecReaderTest, ErrorsKeepTheGrammarPrefixAndOffsetSuffix) {
+  const SpecReader reader("widget spec", "--widget");
+  EXPECT_EQ(reader.Error(7, "bad").message(),
+            "malformed widget spec: bad (at byte 7; see --help for the --widget grammar)");
+  EXPECT_EQ(reader.Expected("n", SpecField{"x", 3}, "an integer").message(),
+            "malformed widget spec: n must be an integer, got 'x' (at byte 3; see --help for "
+            "the --widget grammar)");
+}
+
+TEST(SpecReaderTest, OptionsMatchTheKeyTableAtAbsoluteOffsets) {
+  const SpecReader reader("widget spec", "--widget");
+  // Options start at byte 5 of the whole spec; empty options are skipped.
+  std::vector<std::string> walked;
+  const Status ok = reader.ForEachOption(
+      SpecField{"b=2,,a=1,", 5}, "widget", {"a", "b"}, [&](const SpecOption& o) {
+        walked.push_back(std::to_string(o.slot) + ":" + o.key + "=" + o.value.text + "@" +
+                         std::to_string(o.offset) + "/" + std::to_string(o.value.offset));
+        return Status::Ok();
+      });
+  ASSERT_TRUE(ok.ok()) << ok.ToString();
+  EXPECT_EQ(walked, (std::vector<std::string>{"1:b=2@5/7", "0:a=1@10/12"}));
+
+  const auto error_of = [&reader](const std::string& options) {
+    return reader
+        .ForEachOption(SpecField{options, 5}, "widget", {"a", "b"},
+                       [](const SpecOption&) { return Status::Ok(); })
+        .message();
+  };
+  const std::string unknown = error_of("a=1,c=3");
+  EXPECT_NE(unknown.find("unknown widget option 'c' (at byte 9;"), std::string::npos)
+      << unknown;
+  const std::string duplicate = error_of("a=1,b=2,a=3");
+  EXPECT_NE(duplicate.find("duplicate widget option 'a' (at byte 13;"), std::string::npos)
+      << duplicate;
+  const std::string bare = error_of("a=1,b");
+  EXPECT_NE(bare.find("expected key=value, got 'b' (at byte 9;"), std::string::npos) << bare;
+
+  // The first error from the callback stops the walk.
+  int calls = 0;
+  const Status stopped = reader.ForEachOption(
+      SpecField{"a=1,b=2", 0}, "widget", {"a", "b"}, [&](const SpecOption& o) {
+        ++calls;
+        return reader.Error(o.offset, "no");
+      });
+  EXPECT_FALSE(stopped.ok());
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(SpecReaderTest, IntsParseWholeWithinInclusiveBounds) {
+  EXPECT_EQ(ParseSpecInt("4", 1, 8), 4);
+  EXPECT_EQ(ParseSpecInt("1", 1, 8), 1);
+  EXPECT_EQ(ParseSpecInt("8", 1, 8), 8);
+  EXPECT_EQ(ParseSpecInt("-3", -5, 0), -3);
+  for (const char* bad : {"", "0", "9", "4x", "x4", " 4", "+4", "4.0", "4294967300",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(ParseSpecInt(bad, 1, 8).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(ParseSpecInt("4294967300", std::numeric_limits<int>::min(),
+                            std::numeric_limits<int>::max())
+                   .has_value());
+}
+
+TEST(SpecReaderTest, DoublesAreFiniteAndWithinBounds) {
+  EXPECT_EQ(ParseSpecDouble("0.5", 0.0, 1.0), 0.5);
+  EXPECT_EQ(ParseSpecDouble("1e-3"), 1e-3);
+  EXPECT_EQ(ParseSpecDouble("-2.5"), -2.5);
+  EXPECT_EQ(ParseSpecDouble("86400.001"), 86400.001);
+  EXPECT_FALSE(ParseSpecDouble("0", kSpecPositive, 1.0).has_value());
+  EXPECT_FALSE(ParseSpecDouble("1.5", 0.0, 1.0).has_value());
+  for (const char* bad : {"", "nan", "inf", "-inf", "1e999", "0.5s", "abc", " 1"}) {
+    EXPECT_FALSE(ParseSpecDouble(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(SpecReaderTest, U64SeedsRejectSignsGarbageAndOverflow) {
+  EXPECT_EQ(ParseSpecU64("0"), std::uint64_t{0});
+  EXPECT_EQ(ParseSpecU64("18446744073709551615"), std::numeric_limits<std::uint64_t>::max());
+  // 2^64 is out of range (ERANGE), not wrapped to 0; a sign is not wrapped either.
+  for (const char* bad : {"18446744073709551616", "-3", "+3", "abc", "7x", ""}) {
+    EXPECT_FALSE(ParseSpecU64(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(SpecReaderTest, BoolsTakeTheFlagSpellings) {
+  for (const char* yes : {"true", "1", "yes", "on"}) {
+    EXPECT_EQ(ParseSpecBool(yes), true) << yes;
+  }
+  for (const char* no : {"false", "0", "no", "off"}) {
+    EXPECT_EQ(ParseSpecBool(no), false) << no;
+  }
+  for (const char* bad : {"", "2", "maybe", "TRUE"}) {
+    EXPECT_FALSE(ParseSpecBool(bad).has_value()) << bad;
+  }
+}
+
+TEST(SpecReaderTest, ReadsStoreOnSuccessAndNameTheKeyOnFailure) {
+  const SpecReader reader("widget spec", "--widget");
+  int count = 0;
+  EXPECT_TRUE(reader.ReadInt("n", SpecField{"3", 0}, 1, 4, "an integer in [1, 4]", &count).ok());
+  EXPECT_EQ(count, 3);
+  const Status bad = reader.ReadInt("n", SpecField{"5", 9}, 1, 4, "an integer in [1, 4]", &count);
+  EXPECT_EQ(bad.message(),
+            "malformed widget spec: n must be an integer in [1, 4], got '5' (at byte 9; see "
+            "--help for the --widget grammar)");
+  EXPECT_EQ(count, 3);
+  std::uint64_t seed = 0;
+  EXPECT_NE(reader.ReadU64("seed", SpecField{"-3", 0}, &seed).message().find(
+                "seed must be an unsigned integer, got '-3'"),
+            std::string::npos);
+  bool on = false;
+  EXPECT_NE(reader.ReadBool("ext", SpecField{"2", 0}, &on).message().find(
+                "ext must be 0, 1, true or false, got '2'"),
+            std::string::npos);
+}
+
+TEST(ThreadCountTest, RequestIsCappedByUsefulWork) {
+  EXPECT_EQ(ResolveThreadCount(4, 10), 4);
+  EXPECT_EQ(ResolveThreadCount(1000000, 48), 48);  // one thread per sweep point at most
+  EXPECT_EQ(ResolveThreadCount(8, 0), 1);          // an empty sweep still gets one worker
+  EXPECT_GE(ResolveThreadCount(0, 48), 1);         // 0 = one per hardware thread ...
+  EXPECT_LE(ResolveThreadCount(0, 2), 2);          // ... but never more than the work
+  EXPECT_EQ(ResolveThreadCount(3), 3);             // uncapped by default
 }
 
 }  // namespace

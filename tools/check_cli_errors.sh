@@ -51,6 +51,7 @@ expect_reject "expects an integer" --retry_max=lots
 expect_reject "expects a finite number" --retry_base=slow
 expect_reject "expects an integer" --ckpt_keep=all
 expect_reject "expects a finite number" --straggler_threshold=high
+expect_reject "expects an integer >= 0" --tune --tuner_threads=-1
 # A removed flag is rejected like any unknown flag, never silently ignored.
 expect_reject "unknown flag --sim_threads" --sim_threads=2
 
@@ -72,26 +73,30 @@ expect_reject "at byte" --faults='fail@1:gpu0;degrade@2:gpu0:0.5:nan'
 expect_reject "must be 0, 1, true or false" --faults='rand:ext=2'
 expect_reject "expected a target like 'nic0'" --faults='flow_flap@1:nic'
 expect_reject "expected a target like" --faults='brownout@1:rack-1:0.5:1'
+# rand: options go through the same whole-value reads and key table as every other grammar.
+expect_reject "seed must be an unsigned integer" --faults='rand:seed=abc,mtbf=1,horizon=2'
+expect_reject "duplicate rand option 'mtbf'" --faults='rand:mtbf=1,mtbf=2,horizon=2'
 
-# Scheduler-mode grammars (DESIGN.md §13): --sched, --jobs, --trace and --quota are all
+# Scheduler-mode grammars (DESIGN.md §13): --sched, --jobs, --arrivals and --quota are all
 # parsed up front; malformed specs are typed errors with the byte offset of the offending
 # field, before any job is admitted.
 expect_reject "unknown scheduling policy" --sched=bogus --jobs='train@0'
 expect_reject "at byte" --sched=fifo --jobs='train@'
 expect_reject "unknown job option" --sched=fifo --jobs='train@0:color=red'
 expect_reject "duplicate job option" --sched=fifo --jobs='train@0:gpus=2,gpus=4'
-expect_reject "trace kind must be" --sched=fifo --trace='weekly:seed=1,rate=1,horizon=9'
-expect_reject "at byte" --sched=fifo --trace='poisson:seed=1,rate=-1,horizon=9'
-expect_reject "duplicate trace option" --sched=fifo --trace='poisson:seed=1,seed=2,rate=1,horizon=9'
-expect_reject "require burst= and period=" --sched=fifo --trace='bursty:seed=1,rate=1,horizon=9'
-expect_reject "do not apply to poisson" --sched=fifo --trace='poisson:seed=1,rate=1,horizon=9,burst=2'
-expect_reject "burst= only applies to bursty" --sched=fifo --trace='diurnal:seed=1,rate=1,horizon=9,period=3,burst=2'
+expect_reject "trace kind must be" --sched=fifo --arrivals='weekly:seed=1,rate=1,horizon=9'
+expect_reject "at byte" --sched=fifo --arrivals='poisson:seed=1,rate=-1,horizon=9'
+expect_reject "duplicate trace option" --sched=fifo --arrivals='poisson:seed=1,seed=2,rate=1,horizon=9'
+expect_reject "require burst= and period=" --sched=fifo --arrivals='bursty:seed=1,rate=1,horizon=9'
+expect_reject "do not apply to poisson" --sched=fifo --arrivals='poisson:seed=1,rate=1,horizon=9,burst=2'
+expect_reject "burst= only applies to bursty" --sched=fifo --arrivals='diurnal:seed=1,rate=1,horizon=9,period=3,burst=2'
 expect_reject "at byte" --sched=priority --jobs='train@0' --quota='t0:mem_gib=-4'
 expect_reject "duplicate quota for tenant" --sched=priority --jobs='train@0' --quota='t0:bw=0.5;t0:bw=0.25'
 
 # Scheduler flags outside scheduler mode, and single-run modes inside it, are both
 # rejected up front (plain typed message, exit 2).
-for args in "--jobs=train@0" "--quota=t0:bw=0.5" "--sched=fifo --jobs=train@0 --lint"; do
+for args in "--jobs=train@0" "--quota=t0:bw=0.5" "--arrivals=poisson:seed=1,rate=1,horizon=9" \
+            "--sched=fifo --jobs=train@0 --lint" "--sched=fifo --jobs=train@0 --trace=t.json"; do
   # shellcheck disable=SC2086
   err=$("$sim" $args 2>&1 >/dev/null)
   code=$?

@@ -72,7 +72,8 @@ int Run(int argc, char** argv) {
               "run the Performance Tuner sweep (pack x group x microbatch) instead of a "
               "single training run")
       .Define("tuner_threads", "0",
-              "worker threads for the tuner sweep (0 = one per hardware thread)")
+              "worker threads for the tuner sweep (0 = one per hardware thread; never more "
+              "than the sweep has points)")
       .Define("timeline", "false", "print the ASCII schedule timeline")
       .Define("lint", "false",
               "build the plan and run the full static linter (deep checks included) instead "
@@ -84,7 +85,7 @@ int Run(int argc, char** argv) {
       .Define("sched", "",
               "run the multi-tenant cluster scheduler with this policy (fifo | priority) "
               "instead of one training session; supply the workload with --jobs and/or "
-              "--trace (which is the arrival-trace spec in this mode)")
+              "--arrivals")
       .Define("jobs", "",
               "explicit job stream for --sched: '(train|serve)@<arrival>:tenant=<t>,"
               "model=<m>,scheme=<s>,gpus=<n>,iters=<n>,mb=<n>,mbs=<n>,prio=<n>', "
@@ -93,11 +94,11 @@ int Run(int argc, char** argv) {
               "per-tenant quotas for --sched: '<tenant|*>:mem_gib=<g>,bw=<frac>', "
               "semicolon-separated; mem_gib caps the tenant's aggregate host-memory "
               "footprint, bw reserves a (0,1] share of host-uplink/NIC bandwidth")
-      .Define("trace", "",
-              "write a chrome://tracing JSON to this path; with --sched this is instead "
-              "the arrival-trace spec 'poisson:seed=<s>,rate=<r>,horizon=<h>"
+      .Define("arrivals", "",
+              "seeded arrival trace for --sched: 'poisson:seed=<s>,rate=<r>,horizon=<h>"
               "[,serve_frac=<f>]' (also bursty:...,burst=<n>,period=<p> and "
-              "diurnal:...,period=<p>)")
+              "diurnal:...,period=<p>); every key at most once")
+      .Define("trace", "", "write a chrome://tracing JSON of the run to this path")
       .Define("csv", "", "write per-iteration metrics CSV to this path")
       .Define("json", "", "write the full structured run report (JSON) to this path")
       .Define("faults", "",
@@ -107,9 +108,9 @@ int Run(int argc, char** argv) {
               "'brownout@<t>:<gpu<i>|host|nic<i>|rack<i>>:<scale>:<dur>', "
               "'gpu_slow@<t>:gpu<i>:<scale>:<dur>', 'ckpt_corrupt@<t>', or "
               "'rand:seed=<s>,mtbf=<sec>,horizon=<sec>[,gpus=<n>][,nics=<n>][,racks=<n>]"
-              "[,fail=<0|1>][,ext=<0|1>][,ckpt=<0|1>]', semicolon-separated; durations are "
-              "> 0 seconds or 'inf'; nic/rack targets hit inter-node links and need "
-              "--nodes > 1; empty = no faults")
+              "[,fail=<0|1>][,ext=<0|1>][,ckpt=<0|1>]' (each rand key at most once), "
+              "semicolon-separated; durations are > 0 seconds or 'inf'; nic/rack targets "
+              "hit inter-node links and need --nodes > 1; empty = no faults")
       .Define("checkpoint_every", "0",
               "host-checkpoint weights every k iterations (0 = never); the recovery path "
               "resumes from the last committed checkpoint after a GPU fail-stop")
@@ -211,17 +212,16 @@ int Run(int argc, char** argv) {
   }
   if (!flags.Get("sched").empty()) {
     // Scheduler mode: run a multi-tenant job stream over the cluster instead of one
-    // session. --trace is the arrival-trace spec here (chrome tracing has no meaning for
-    // a job stream), and the single-run modes are unavailable.
+    // session. The single-run modes and outputs (chrome trace, CSV) are unavailable.
     const StatusOr<SchedPolicy> policy = SchedPolicyByName(flags.Get("sched"));
     if (!policy.ok()) {
       std::cerr << policy.status().ToString() << "\n(run with --help for flag usage)\n";
       return 2;
     }
     if (tune || lint || timeline || !flags.Get("faults").empty() ||
-        !flags.Get("csv").empty()) {
+        !flags.Get("csv").empty() || !flags.Get("trace").empty()) {
       std::cerr << "--sched cannot be combined with --tune, --lint, --timeline, --faults, "
-                   "or --csv\n(run with --help for flag usage)\n";
+                   "--csv, or --trace\n(run with --help for flag usage)\n";
       return 2;
     }
     ClusterSchedulerConfig sched;
@@ -249,9 +249,9 @@ int Run(int argc, char** argv) {
       }
       jobs = parsed_jobs.value();
     }
-    if (!flags.Get("trace").empty()) {
+    if (!flags.Get("arrivals").empty()) {
       const StatusOr<std::vector<JobSpec>> generated = GenerateTrace(
-          flags.Get("trace"), sched.server.num_gpus, sched.num_nodes, flags.Get("model"));
+          flags.Get("arrivals"), sched.server.num_gpus, sched.num_nodes, flags.Get("model"));
       if (!generated.ok()) {
         std::cerr << generated.status().ToString() << "\n(run with --help for flag usage)\n";
         return 2;
@@ -259,7 +259,7 @@ int Run(int argc, char** argv) {
       jobs.insert(jobs.end(), generated.value().begin(), generated.value().end());
     }
     if (jobs.empty()) {
-      std::cerr << "--sched needs a workload: pass --jobs and/or --trace\n(run with "
+      std::cerr << "--sched needs a workload: pass --jobs and/or --arrivals\n(run with "
                    "--help for flag usage)\n";
       return 2;
     }
@@ -283,8 +283,10 @@ int Run(int argc, char** argv) {
     }
     return 0;
   }
-  if (!flags.Get("jobs").empty() || !flags.Get("quota").empty()) {
-    std::cerr << "--jobs/--quota only apply to scheduler mode; add --sched=<fifo|priority>"
+  if (!flags.Get("jobs").empty() || !flags.Get("quota").empty() ||
+      !flags.Get("arrivals").empty()) {
+    std::cerr << "--jobs/--quota/--arrivals only apply to scheduler mode; add "
+                 "--sched=<fifo|priority>"
                  "\n(run with --help for flag usage)\n";
     return 2;
   }
@@ -305,7 +307,8 @@ int Run(int argc, char** argv) {
     TunerOptions options;
     options.minibatch_samples = config.microbatches * config.microbatch_size;
     options.iterations = config.iterations;
-    if (!AssignFlag(flags.GetCheckedInt("tuner_threads"), &options.num_threads)) {
+    if (!AssignFlag(flags.GetCheckedInt("tuner_threads", /*min_value=*/0),
+                    &options.num_threads)) {
       return 2;
     }
     std::cout << model.value().Summary() << "\n";
