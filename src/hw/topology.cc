@@ -1,12 +1,19 @@
 #include "src/hw/topology.h"
 
-#include <algorithm>
-#include <deque>
+#include <cstddef>
 #include <sstream>
 
 #include "src/util/check.h"
 
 namespace harmony {
+namespace {
+
+std::size_t Slot(int id) { return static_cast<std::size_t>(id); }
+
+// AddDuplexLink appends each direction pair at link ids 2k and 2k + 1.
+LinkId ReverseLink(LinkId lid) { return lid ^ 1; }
+
+}  // namespace
 
 const char* LinkTierName(LinkTier tier) {
   switch (tier) {
@@ -71,78 +78,95 @@ void Topology::Finalize() {
         << ") must have non-negative latency";
   }
   const int n = num_nodes();
-  routes_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), {});
 
-  // BFS from each source. out_links_ entries are visited in insertion order, which makes the
-  // tie-break deterministic.
-  for (NodeId src = 0; src < n; ++src) {
-    std::vector<LinkId> in_link(static_cast<std::size_t>(n), -1);
-    std::vector<bool> visited(static_cast<std::size_t>(n), false);
-    std::deque<NodeId> frontier;
-    visited[static_cast<std::size_t>(src)] = true;
-    frontier.push_back(src);
-    while (!frontier.empty()) {
-      const NodeId at = frontier.front();
-      frontier.pop_front();
-      for (LinkId lid : out_links_[static_cast<std::size_t>(at)]) {
-        const NodeId next = links_[static_cast<std::size_t>(lid)].dst;
-        if (!visited[static_cast<std::size_t>(next)]) {
-          visited[static_cast<std::size_t>(next)] = true;
-          in_link[static_cast<std::size_t>(next)] = lid;
-          frontier.push_back(next);
-        }
-      }
-    }
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (dst == src) {
+  // One BFS from node 0 (out_links_ in insertion order) roots the tree. Reaching a node a
+  // second time, over any link but the one back to the parent, closes a cycle.
+  parent_.assign(Slot(n), kInvalidNode);
+  up_link_.assign(Slot(n), -1);
+  depth_.assign(Slot(n), -1);
+  std::vector<NodeId> order;
+  order.reserve(Slot(n));
+  depth_[0] = 0;
+  order.push_back(0);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const NodeId at = order[head];
+    for (LinkId lid : out_links_[Slot(at)]) {
+      if (lid == up_link_[Slot(at)]) {
         continue;
       }
-      HCHECK(visited[static_cast<std::size_t>(dst)])
-          << "topology is disconnected: no path " << src << " -> " << dst;
-      std::vector<LinkId> path;
-      for (NodeId at = dst; at != src;) {
-        const LinkId lid = in_link[static_cast<std::size_t>(at)];
-        path.push_back(lid);
-        at = links_[static_cast<std::size_t>(lid)].src;
-      }
-      std::reverse(path.begin(), path.end());
-      routes_[static_cast<std::size_t>(src) * static_cast<std::size_t>(n) +
-              static_cast<std::size_t>(dst)] = std::move(path);
+      const NodeId next = links_[Slot(lid)].dst;
+      HCHECK_LT(depth_[Slot(next)], 0)
+          << "topology is not a tree: link " << node(at).name << " -> " << node(next).name
+          << " closes a cycle";
+      parent_[Slot(next)] = at;
+      up_link_[Slot(next)] = ReverseLink(lid);
+      depth_[Slot(next)] = depth_[Slot(at)] + 1;
+      order.push_back(next);
     }
+  }
+  for (NodeId dst = 1; dst < n; ++dst) {
+    HCHECK_GE(depth_[Slot(dst)], 0) << "topology is disconnected: no path 0 -> " << dst;
   }
   finalized_ = true;
 
   // Each GPU swaps to its nearest host (fewest hops; ties to the lowest host id). The dense
   // index of that host within host_nodes_ is the GPU's server — the node grouping the
-  // hierarchical collective and the plan's two-level group structure use.
+  // hierarchical collective and the plan's two-level group structure use. A BFS seeded with
+  // every host in id order claims each node for that host: each BFS level is claimed in
+  // non-decreasing host order, so a node's first claimant is its lowest-id nearest host.
+  std::vector<int> server(Slot(n), -1);
+  order.clear();
+  for (int h = 0; h < num_hosts(); ++h) {
+    server[Slot(host_nodes_[Slot(h)])] = h;
+    order.push_back(host_nodes_[Slot(h)]);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const NodeId at = order[head];
+    for (LinkId lid : out_links_[Slot(at)]) {
+      const NodeId next = links_[Slot(lid)].dst;
+      if (server[Slot(next)] < 0) {
+        server[Slot(next)] = server[Slot(at)];
+        order.push_back(next);
+      }
+    }
+  }
   gpu_swap_host_.clear();
   gpu_server_.clear();
   for (NodeId gpu : gpu_nodes_) {
-    NodeId best = host_nodes_.front();
-    int best_server = 0;
-    std::size_t best_hops = Route(gpu, best).size();
-    for (int h = 0; h < static_cast<int>(host_nodes_.size()); ++h) {
-      const NodeId host = host_nodes_[static_cast<std::size_t>(h)];
-      const std::size_t hops = Route(gpu, host).size();
-      if (hops < best_hops) {
-        best = host;
-        best_server = h;
-        best_hops = hops;
-      }
-    }
-    gpu_swap_host_.push_back(best);
-    gpu_server_.push_back(best_server);
+    const int s = server[Slot(gpu)];
+    gpu_swap_host_.push_back(host_nodes_[Slot(s)]);
+    gpu_server_.push_back(s);
   }
 }
 
-const std::vector<LinkId>& Topology::Route(NodeId src, NodeId dst) const {
+RouteLinks Topology::Route(NodeId src, NodeId dst) const {
   HCHECK(finalized_);
   HCHECK_GE(src, 0);
   HCHECK_GE(dst, 0);
   HCHECK_LT(src, num_nodes());
   HCHECK_LT(dst, num_nodes());
-  return routes_[static_cast<std::size_t>(src) * static_cast<std::size_t>(num_nodes()) +
-                 static_cast<std::size_t>(dst)];
+  // Climb from both ends to the lowest common ancestor. The src side gives the route's
+  // head in order; the dst side gives its tail as child -> parent links, appended reversed.
+  RouteLinks route;
+  RouteLinks tail;
+  const auto climb = [this](NodeId* at, RouteLinks* links) {
+    links->push_back(up_link_[Slot(*at)]);
+    *at = parent_[Slot(*at)];
+  };
+  while (depth_[Slot(src)] > depth_[Slot(dst)]) {
+    climb(&src, &route);
+  }
+  while (depth_[Slot(dst)] > depth_[Slot(src)]) {
+    climb(&dst, &tail);
+  }
+  while (src != dst) {
+    climb(&src, &route);
+    climb(&dst, &tail);
+  }
+  for (std::size_t i = tail.size(); i > 0; --i) {
+    route.push_back(ReverseLink(tail[i - 1]));
+  }
+  return route;
 }
 
 bool Topology::RouteAvoidsHost(NodeId src, NodeId dst) const {
@@ -162,7 +186,7 @@ std::string Topology::DescribeRoutes() const {
   std::ostringstream os;
   auto describe = [&](NodeId src, NodeId dst) {
     os << node(src).name << " -> " << node(dst).name << ": ";
-    const auto& route = Route(src, dst);
+    const RouteLinks route = Route(src, dst);
     for (std::size_t i = 0; i < route.size(); ++i) {
       const TopologyLink& l = link(route[i]);
       if (i == 0) {

@@ -1,5 +1,6 @@
-// Intra-server interconnect topology: nodes (host, PCIe switches, GPUs) and full-duplex
-// links between them, with shortest-path routing.
+// Interconnect topology: nodes (hosts, PCIe switches, GPUs, NICs, rack switches) and
+// full-duplex links between them. Every topology is a tree, so the route between two nodes
+// is the unique path through their lowest common ancestor, computed on demand.
 //
 // The canonical instance is MakeCommodityServer(): N GPUs behind PCIe switches whose single
 // x16 uplink to the host root complex is shared — the 4:1/8:1 oversubscription the paper
@@ -7,11 +8,14 @@
 #ifndef HARMONY_SRC_HW_TOPOLOGY_H_
 #define HARMONY_SRC_HW_TOPOLOGY_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/hw/specs.h"
+#include "src/util/check.h"
 #include "src/util/status.h"
 #include "src/util/units.h"
 
@@ -56,6 +60,30 @@ struct TopologyLink {
   LinkTier tier = LinkTier::kPcie;
 };
 
+// The longest route any builder makes: gpu -> switch -> host -> nic -> ToR -> spine -> ToR
+// -> nic -> host -> switch -> gpu.
+inline constexpr int kMaxRouteHops = 10;
+
+// Ordered link ids along one route, held inline: a route is a small value, never a pointer
+// into a table that grows with the square of the node count.
+class RouteLinks {
+ public:
+  const LinkId* begin() const { return links_.data(); }
+  const LinkId* end() const { return links_.data() + size_; }
+  std::size_t size() const { return static_cast<std::size_t>(size_); }
+  LinkId operator[](std::size_t i) const { return links_[i]; }
+  LinkId back() const { return links_[static_cast<std::size_t>(size_ - 1)]; }
+
+  void push_back(LinkId link) {
+    HCHECK_LT(size_, kMaxRouteHops) << "route longer than kMaxRouteHops";
+    links_[static_cast<std::size_t>(size_++)] = link;
+  }
+
+ private:
+  std::array<LinkId, kMaxRouteHops> links_{};
+  int size_ = 0;
+};
+
 class Topology {
  public:
   Topology() = default;
@@ -65,8 +93,10 @@ class Topology {
   void AddDuplexLink(NodeId a, NodeId b, const LinkSpec& spec,
                      LinkTier tier = LinkTier::kPcie);
 
-  // Must be called once all nodes/links are added; computes BFS routes between every node
-  // pair (fewest hops; ties broken by smaller next-hop link id, deterministically).
+  // Must be called once all nodes/links are added. Validates the link specs, then roots the
+  // topology at node 0 with one BFS that records each node's parent link and depth. Fatal
+  // if the topology is disconnected or has a cycle: every route is then the unique tree
+  // path, found by Route() on demand.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -110,8 +140,9 @@ class Topology {
     return tor_nodes_.at(static_cast<std::size_t>(rack_index));
   }
 
-  // Ordered link ids along the route src -> dst. Empty when src == dst. Fatal if unreachable.
-  const std::vector<LinkId>& Route(NodeId src, NodeId dst) const;
+  // Ordered link ids along the route src -> dst: the climb from src to the lowest common
+  // ancestor, then the descent to dst. Empty when src == dst.
+  RouteLinks Route(NodeId src, NodeId dst) const;
 
   // True when src and dst are GPUs whose route avoids every host node — i.e. a p2p transfer
   // that does not consume host-uplink bandwidth beyond the switch tier.
@@ -132,8 +163,11 @@ class Topology {
   std::vector<NodeId> gpu_swap_host_;  // per GPU, filled by Finalize
   std::vector<int> gpu_server_;        // per GPU: index of its swap host in host_nodes_
   bool finalized_ = false;
-  // routes_[src * num_nodes + dst]
-  std::vector<std::vector<LinkId>> routes_;
+  // The BFS tree rooted at node 0, filled by Finalize: per node, its parent, the link to
+  // the parent (-1 at the root) and its hop distance from the root.
+  std::vector<NodeId> parent_;
+  std::vector<LinkId> up_link_;
+  std::vector<int> depth_;
 };
 
 struct ServerConfig {

@@ -50,37 +50,31 @@ TransferManager::TransferManager(Simulator* sim, const Topology* topology)
   queue_timeline_.assign(static_cast<std::size_t>(topology->num_links()), {});
 }
 
-OneShotEvent* TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes,
-                                             TransferKind kind) {
+TransferId TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes,
+                                          TransferKind kind, Simulator::Closure on_done) {
   HCHECK_GE(bytes, 0);
-  events_.push_back(std::make_unique<OneShotEvent>(sim_));
-  OneShotEvent* done = events_.back().get();
+  const TransferId transfer = next_transfer_id_++;
 
+  // The abort-at-start and short-circuit paths take two simulator hops, one to end the
+  // transfer and one to run the closure (Deliver), the same as a flow whose completion
+  // event schedules its closure, so event order does not depend on the path taken.
   if (NodeFailed(src) || NodeFailed(dst)) {
-    // Typed failure instead of a crash: the event fires now, flagged aborted, and the
+    // Typed failure instead of a crash: the closure runs now, flagged aborted, and the
     // caller decides what a dead endpoint means for it.
-    aborted_events_.insert(done);
+    aborted_transfers_.insert(transfer);
     ++flows_aborted_;
-    sim_->ScheduleAfter(0.0, [done] { done->Fire(); });
-    return done;
+    sim_->ScheduleAfter(0.0, [this, fn = std::move(on_done)]() mutable { Deliver(&fn); });
+    return transfer;
   }
 
-  if (src == dst || bytes == 0) {
-    double latency = 0.0;
-    if (src != dst) {
-      for (LinkId lid : topology_->Route(src, dst)) {
-        latency += topology_->link(lid).spec.latency_sec;
-      }
-    }
-    sim_->ScheduleAfter(latency, [done] { done->Fire(); });
-    return done;
-  }
-
-  const std::vector<LinkId>& route = topology_->Route(src, dst);
-  HCHECK(!route.empty());
+  const RouteLinks route = topology_->Route(src, dst);
   double latency = 0.0;
   for (LinkId lid : route) {
     latency += topology_->link(lid).spec.latency_sec;
+  }
+  if (src == dst || bytes == 0) {
+    sim_->ScheduleAfter(latency, [this, fn = std::move(on_done)]() mutable { Deliver(&fn); });
+    return transfer;
   }
 
   const std::int64_t id = next_flow_id_++;
@@ -90,20 +84,33 @@ OneShotEvent* TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes
 
   Flow flow;
   flow.id = id;
-  flow.route = &route;  // points into the topology's stable route table
+  flow.transfer = transfer;
+  flow.route = route;
   flow.src = src;
   flow.dst = dst;
   flow.bytes_remaining = static_cast<double>(bytes);
   flow.bytes_total = bytes;
   flow.kind = kind;
-  flow.done = done;
+  flow.on_done = std::move(on_done);
   pending_.emplace(id, std::move(flow));
 
   // The flow joins the network after its route latency; that keeps latency out of the
   // bandwidth-sharing math while still delaying short transfers realistically. The flow
   // body lives in pending_ so the event closure carries two words, not the whole route.
   sim_->ScheduleAfter(latency, [this, id] { JoinFlow(id); });
-  return done;
+  return transfer;
+}
+
+void TransferManager::Deliver(Simulator::Closure* on_done) {
+  if (*on_done) {
+    sim_->ScheduleAfter(0.0, std::move(*on_done));
+  }
+}
+
+void TransferManager::Abort(TransferId transfer, Simulator::Closure* on_done) {
+  ++flows_aborted_;
+  aborted_transfers_.insert(transfer);
+  Deliver(on_done);
 }
 
 void TransferManager::JoinFlow(std::int64_t id) {
@@ -113,14 +120,12 @@ void TransferManager::JoinFlow(std::int64_t id) {
   pending_.erase(it);
   if (NodeFailed(flow.src) || NodeFailed(flow.dst)) {
     // An endpoint died while the transfer was still in its latency window.
-    aborted_events_.insert(flow.done);
-    ++flows_aborted_;
-    flow.done->Fire();
+    Abort(flow.transfer, &flow.on_done);
     return;
   }
   AdvanceToNow();
   Flow& attached = AttachFlow(std::move(flow));
-  dirty_scratch_.assign(attached.route->begin(), attached.route->end());
+  dirty_scratch_.assign(attached.route.begin(), attached.route.end());
   ReRateFlowsOnLinks(&dirty_scratch_);
   ScheduleNextCompletion();
 }
@@ -167,7 +172,7 @@ TransferManager::Flow& TransferManager::AttachFlow(Flow flow) {
   const auto [it, inserted] = flows_.emplace(id, std::move(flow));
   HCHECK(inserted);
   Flow& attached = it->second;  // stable address: unordered_map never moves elements
-  for (LinkId lid : *attached.route) {
+  for (LinkId lid : attached.route) {
     const auto slot = static_cast<std::size_t>(lid);
     ++link_active_[slot];
     link_stats_[slot].max_queue_depth =
@@ -181,7 +186,7 @@ TransferManager::Flow& TransferManager::AttachFlow(Flow flow) {
 }
 
 void TransferManager::DetachFlow(Flow& flow, std::vector<LinkId>* dirty_links) {
-  for (LinkId lid : *flow.route) {
+  for (LinkId lid : flow.route) {
     const auto slot = static_cast<std::size_t>(lid);
     --link_active_[slot];
     HCHECK_GE(link_active_[slot], 0);
@@ -200,7 +205,7 @@ void TransferManager::DetachFlow(Flow& flow, std::vector<LinkId>* dirty_links) {
 
 double TransferManager::ComputeRate(const Flow& flow) const {
   double rate = std::numeric_limits<double>::infinity();
-  for (LinkId lid : *flow.route) {
+  for (LinkId lid : flow.route) {
     const auto slot = static_cast<std::size_t>(lid);
     const double share = topology_->link(lid).spec.bandwidth_bytes_per_sec *
                          link_scale_[slot] / static_cast<double>(link_active_[slot]);
@@ -273,9 +278,7 @@ void TransferManager::FailNode(NodeId node) {
   for (std::int64_t id : doomed) {
     Flow& flow = flows_.at(id);
     DetachFlow(flow, &dirty_scratch_);
-    ++flows_aborted_;
-    aborted_events_.insert(flow.done);
-    flow.done->Fire();
+    Abort(flow.transfer, &flow.on_done);
     flows_.erase(id);
   }
   ReRateFlowsOnLinks(&dirty_scratch_);
@@ -317,7 +320,7 @@ int TransferManager::FlapLinkFlows(const std::vector<LinkId>& links) {
       flow.rate = 0.0;
       flow.completion_time = 0.0;
       double latency = 0.0;
-      for (LinkId lid : *flow.route) {
+      for (LinkId lid : flow.route) {
         latency += topology_->link(lid).spec.latency_sec;
       }
       Flow moved = std::move(flow);
@@ -327,10 +330,8 @@ int TransferManager::FlapLinkFlows(const std::vector<LinkId>& links) {
     } else {
       // Budget exhausted (or no policy): surface the abort exactly like a node-failure
       // victim, plus the typed exhaustion escalation.
-      ++flows_aborted_;
       ++retry_exhausted_;
-      aborted_events_.insert(flow.done);
-      flow.done->Fire();
+      Abort(flow.transfer, &flow.on_done);
       flows_.erase(id);
       if (retry_exhausted_handler_) {
         retry_exhausted_handler_(id, sim_->now());
@@ -517,7 +518,7 @@ void TransferManager::OnWakeup(std::uint64_t generation) {
       }
       continue;
     }
-    for (LinkId lid : *flow.route) {
+    for (LinkId lid : flow.route) {
       LinkStats& stats = link_stats_[static_cast<std::size_t>(lid)];
       stats.bytes_carried += flow.bytes_total;
       stats.bytes_by_kind[static_cast<std::size_t>(flow.kind)] += flow.bytes_total;
@@ -525,9 +526,8 @@ void TransferManager::OnWakeup(std::uint64_t generation) {
     }
     DetachFlow(flow, &dirty_scratch_);
     ++flows_completed_;
-    OneShotEvent* done = flow.done;
+    Deliver(&flow.on_done);
     const std::int64_t id = flow.id;
-    done->Fire();
     flows_.erase(id);
   }
   ReRateFlowsOnLinks(&dirty_scratch_);
@@ -540,7 +540,7 @@ std::string TransferManager::DebugCheckConsistency() const {
   std::vector<int> want_active(link_active_.size(), 0);
   std::vector<std::vector<std::int64_t>> want_flows(link_flows_.size());
   for (const auto& [id, flow] : flows_) {
-    for (LinkId lid : *flow.route) {
+    for (LinkId lid : flow.route) {
       ++want_active[static_cast<std::size_t>(lid)];
       want_flows[static_cast<std::size_t>(lid)].push_back(id);
     }

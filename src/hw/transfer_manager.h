@@ -1,7 +1,7 @@
 // Flow-level DMA model over the topology.
 //
-// A transfer is a flow along the (precomputed) route between two nodes. At any instant a
-// flow's rate is min over its route's links of (link bandwidth / number of active flows on
+// A transfer is a flow along the tree route between two nodes. At any instant a flow's
+// rate is min over its route's links of (link bandwidth / number of active flows on
 // that link) — the classic processor-sharing approximation of max-min fair bandwidth
 // allocation. Rates are recomputed whenever a flow starts or finishes, so contention on the
 // shared switch-to-host uplink (the paper's Fig. 2(a)/(b) bottleneck) emerges naturally.
@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -50,6 +49,11 @@ enum class TransferKind : int {
 inline constexpr int kNumTransferKinds = 7;
 
 const char* TransferKindName(TransferKind kind);
+
+// Names one StartTransfer call: a dense sequence number over every transfer a manager
+// starts, including those that abort at start or never enter the flow model. Distinct from
+// flow ids, which only transfers that move bytes over a route receive.
+using TransferId = std::int64_t;
 
 struct LinkStats {
   Bytes bytes_carried = 0;
@@ -81,13 +85,15 @@ class TransferManager {
   TransferManager(const TransferManager&) = delete;
   TransferManager& operator=(const TransferManager&) = delete;
 
-  // Starts a transfer of `bytes` from `src` to `dst`; the returned event (owned by the
-  // manager) fires at completion. src == dst or bytes == 0 completes after route latency
-  // only. The event pointer stays valid for the manager's lifetime.
+  // Starts a transfer of `bytes` from `src` to `dst` and returns its id. `on_done` runs as
+  // a fresh simulator event at the completion time, then is destroyed; the manager keeps
+  // nothing of a finished transfer. src == dst or bytes == 0 completes after route latency
+  // only. An empty `on_done` is allowed and schedules nothing at completion.
   //
-  // A transfer touching a failed node does not crash: its event fires immediately and
-  // WasAborted(event) reports the failure, so callers can branch on a typed outcome.
-  OneShotEvent* StartTransfer(NodeId src, NodeId dst, Bytes bytes, TransferKind kind);
+  // A transfer touching a failed node does not crash: `on_done` runs immediately and
+  // WasAborted(id) reports the failure, so callers can branch on a typed outcome.
+  TransferId StartTransfer(NodeId src, NodeId dst, Bytes bytes, TransferKind kind,
+                           Simulator::Closure on_done);
 
   // ---- quota admission (multi-tenant scheduler, DESIGN.md §13) ----
   // Caps the bandwidth this session may draw from every shared uplink at `fraction` of
@@ -109,7 +115,7 @@ class TransferManager {
   }
 
   // Fail-stops `node`: every active flow whose route crosses one of the node's links is
-  // aborted (its completion event fires, flagged aborted), and any future transfer with a
+  // aborted (its completion closure runs, flagged aborted), and any future transfer with a
   // dead endpoint aborts at start. Surviving flows on shared links are re-rated — a dead
   // GPU frees its share of the uplink for everyone else.
   void FailNode(NodeId node);
@@ -118,15 +124,17 @@ class TransferManager {
            node_dead_[static_cast<std::size_t>(node)];
   }
 
-  // True when `done` (a StartTransfer event) fired because its transfer was aborted by a
-  // node failure rather than completing. Valid for the manager's lifetime.
-  bool WasAborted(const OneShotEvent* done) const { return aborted_events_.count(done) > 0; }
+  // True when transfer `id` ended aborted (a dead endpoint, a node failure mid-flight or
+  // an exhausted retry budget) rather than completing. Final once its completion closure
+  // has run. The side table holds aborted transfers only, so the failure-free path stores
+  // nothing per transfer.
+  bool WasAborted(TransferId id) const { return aborted_transfers_.count(id) > 0; }
   std::int64_t flows_aborted() const { return flows_aborted_; }
 
   // ---- retry tier (DESIGN.md §11) ----
   // Installs the transfer retry policy. With a policy set, transient aborts
   // (FlapLinkFlows) re-issue the flow from scratch on the simulator clock after a
-  // deterministic backoff instead of firing the completion event aborted; only when the
+  // deterministic backoff instead of running the completion closure aborted; only when the
   // attempt budget is exhausted does the abort surface. The policy must outlive the
   // manager's use of it; nullptr (the default) disables retries, preserving the
   // pre-retry behavior byte for byte.
@@ -187,9 +195,8 @@ class TransferManager {
 
   struct Flow {
     std::int64_t id = 0;
-    // Points into the finalized Topology's route table (stable for the topology's
-    // lifetime) — flows are hot-path objects, so the route is never copied.
-    const std::vector<LinkId>* route = nullptr;
+    TransferId transfer = 0;  // the StartTransfer call this flow carries
+    RouteLinks route;         // held inline: flows never point into a topology table
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
     double bytes_remaining = 0.0;
@@ -203,7 +210,7 @@ class TransferManager {
     // Position of this flow's entry in completion_heap_ (kNoHeapIndex before first rating).
     std::size_t heap_index = kNoHeapIndex;
     TransferKind kind = TransferKind::kOther;
-    OneShotEvent* done = nullptr;
+    Simulator::Closure on_done;  // moved out and scheduled when the transfer ends
     int attempts = 0;  // transient aborts suffered so far (retry tier)
   };
 
@@ -255,9 +262,15 @@ class TransferManager {
   // and re-rates the links it joins; aborts it instead if an endpoint died meanwhile.
   void JoinFlow(std::int64_t id);
 
+  // Schedules a finished transfer's closure as a fresh zero-delay event; an empty closure
+  // schedules nothing. Abort() first counts the abort and records it in the side table.
+  void Deliver(Simulator::Closure* on_done);
+  void Abort(TransferId transfer, Simulator::Closure* on_done);
+
   Simulator* sim_;
   const Topology* topology_;
 
+  TransferId next_transfer_id_ = 0;
   std::int64_t next_flow_id_ = 0;
   // Unordered is safe: no code depends on iteration order (completion order comes from the
   // heap comparator, rates are pure functions of counts), and lookups are on the hot path.
@@ -265,12 +278,11 @@ class TransferManager {
   // Flows still inside their route-latency window (scheduled but not yet sharing
   // bandwidth); JoinFlow moves them into flows_.
   std::unordered_map<std::int64_t, Flow> pending_;
-  std::vector<std::unique_ptr<OneShotEvent>> events_;  // owns completion events
 
   std::vector<int> link_active_;  // active flow count per link (maintained incrementally)
   std::vector<double> link_scale_;  // effective-bandwidth multiplier per link (fault model)
   std::vector<bool> node_dead_;     // fail-stopped nodes
-  std::unordered_set<const OneShotEvent*> aborted_events_;
+  std::unordered_set<TransferId> aborted_transfers_;
   std::int64_t flows_aborted_ = 0;
 
   const RetryPolicy* retry_policy_ = nullptr;  // not owned; nullptr = retries disabled

@@ -578,9 +578,8 @@ bool MemoryManager::EvictOne() {
   ++evictions_in_flight_;
   counters_.swap_out[static_cast<int>(meta.cls)] += meta.bytes;
   system_->NoteChurn(victim, device_index_, ChurnKind::kEvictWriteBack, meta.bytes);
-  OneShotEvent* done = system_->transfers().StartTransfer(device_node_, host_node_,
-                                                          meta.bytes, TransferKind::kSwapOut);
-  done->OnFired([this, victim] {
+  system_->transfers().StartTransfer(device_node_, host_node_, meta.bytes,
+                                     TransferKind::kSwapOut, [this, victim] {
     TensorRegistry& registry = system_->registry();
     TensorState& state = registry.mutable_state(victim);
     const TensorMeta& m = registry.meta(victim);
@@ -613,9 +612,8 @@ void MemoryManager::BeginSwapIn(TensorId id, Bytes offset) {
   system_->NoteChurn(id, device_index_, ChurnKind::kSwapIn, meta.bytes);
   NoteUsage();
   system_->NoteInboundStart(device_index_);
-  OneShotEvent* done = system_->transfers().StartTransfer(host_node_, device_node_, meta.bytes,
-                                                          TransferKind::kSwapIn);
-  done->OnFired([this, id] {
+  system_->transfers().StartTransfer(host_node_, device_node_, meta.bytes,
+                                     TransferKind::kSwapIn, [this, id] {
     system_->NoteInboundEnd(device_index_);
     TensorRegistry& registry = system_->registry();
     TensorState& state = registry.mutable_state(id);
@@ -657,9 +655,8 @@ void MemoryManager::BeginPeerFetch(TensorId id, Bytes offset, MemoryManager* pee
   NoteUsage();
 
   system_->NoteInboundStart(device_index_);
-  OneShotEvent* done = system_->transfers().StartTransfer(peer->device_node_, device_node_,
-                                                          meta.bytes, TransferKind::kPeerToPeer);
-  done->OnFired([this, id] {
+  system_->transfers().StartTransfer(peer->device_node_, device_node_, meta.bytes,
+                                     TransferKind::kPeerToPeer, [this, id] {
     system_->NoteInboundEnd(device_index_);
     TensorRegistry& registry = system_->registry();
     TensorState& state = registry.mutable_state(id);
@@ -705,9 +702,8 @@ void MemoryManager::BeginStagedFetchFromPeer(TensorId id, MemoryManager* peer) {
   ++peer->evictions_in_flight_;
   peer->counters_.swap_out[static_cast<int>(meta.cls)] += meta.bytes;
   system_->NoteChurn(id, peer->device_index_, ChurnKind::kPeerStageWriteBack, meta.bytes);
-  OneShotEvent* done = system_->transfers().StartTransfer(
-      peer->device_node_, peer->host_node_, meta.bytes, TransferKind::kSwapOut);
-  done->OnFired([this, id, peer, release_issue] {
+  system_->transfers().StartTransfer(peer->device_node_, peer->host_node_, meta.bytes,
+                                     TransferKind::kSwapOut, [this, id, peer, release_issue] {
     TensorRegistry& registry = system_->registry();
     TensorState& state = registry.mutable_state(id);
     const TensorMeta& m = registry.meta(id);

@@ -499,19 +499,19 @@ void Engine::MaybeCheckpoint(int iteration) {
   }
   auto committed =
       std::make_shared<CountdownEvent>(sim_, static_cast<int>(per_device.size()));
-  auto lost = std::make_shared<bool>(false);
+  std::vector<TransferId> copies;
+  copies.reserve(per_device.size());
   for (const auto& [device, bytes] : per_device) {
-    OneShotEvent* done = transfers_->StartTransfer(
-        topo.gpu_node(device), topo.HostNodeForGpu(device), bytes, TransferKind::kCheckpoint);
-    done->OnFired([this, done, committed, lost] {
-      if (transfers_->WasAborted(done)) {
-        *lost = true;  // a device died mid-checkpoint: this checkpoint never commits
-      }
-      committed->Arrive();
-    });
+    copies.push_back(transfers_->StartTransfer(topo.gpu_node(device),
+                                               topo.HostNodeForGpu(device), bytes,
+                                               TransferKind::kCheckpoint,
+                                               [committed] { committed->Arrive(); }));
   }
-  committed->OnFired([this, iteration, total, lost] {
-    if (*lost || aborting_) {
+  committed->OnFired([this, iteration, total, copies = std::move(copies)] {
+    // A device that died mid-checkpoint aborted its copy: this checkpoint never commits.
+    const bool lost = std::any_of(copies.begin(), copies.end(),
+                                  [this](TransferId id) { return transfers_->WasAborted(id); });
+    if (lost || aborting_) {
       return;
     }
     ++checkpoints_committed_;

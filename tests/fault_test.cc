@@ -17,12 +17,16 @@
 #include "src/graph/model_zoo.h"
 #include "src/hw/fault_injector.h"
 #include "src/hw/transfer_manager.h"
+#include "src/mem/memory_manager.h"
 #include "src/numeric/plan_executor.h"
 #include "src/numeric/reference.h"
+#include "src/runtime/collective.h"
+#include "src/runtime/engine.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/simulator.h"
 #include "src/util/check.h"
 #include "tests/test_models.h"
+#include "tests/transfer_probe.h"
 
 namespace harmony {
 namespace {
@@ -55,29 +59,30 @@ class FaultTransferTest : public ::testing::Test {
   Simulator sim_;
   Topology topo_;
   TransferManager tm_;
+  TransferProbe probe_{&sim_, &tm_};
 };
 
 TEST_F(FaultTransferTest, DegradedLinkHalvesFlowRate) {
   for (LinkId l : topo_.Route(topo_.gpu_node(0), topo_.host_node())) {
     tm_.SetLinkBandwidthScale(l, 0.5);
   }
-  OneShotEvent* done = tm_.StartTransfer(topo_.gpu_node(0), topo_.host_node(),
-                                         static_cast<Bytes>(GBps(12.8)),
-                                         TransferKind::kSwapOut);
+  const TransferOutcome* done = probe_.Start(topo_.gpu_node(0), topo_.host_node(),
+                                             static_cast<Bytes>(GBps(12.8)),
+                                             TransferKind::kSwapOut);
   sim_.RunUntilIdle();
-  ASSERT_TRUE(done->fired());
-  EXPECT_NEAR(done->fire_time(), 2.0, 1e-2);  // 12.8 GB at 6.4 GB/s
-  EXPECT_FALSE(tm_.WasAborted(done));
+  ASSERT_TRUE(done->fired);
+  EXPECT_NEAR(done->time, 2.0, 1e-2);  // 12.8 GB at 6.4 GB/s
+  EXPECT_FALSE(done->aborted);
 }
 
 TEST_F(FaultTransferTest, MidFlightRestoreReRatesTheFlow) {
-  const std::vector<LinkId> route = topo_.Route(topo_.gpu_node(0), topo_.host_node());
+  const RouteLinks route = topo_.Route(topo_.gpu_node(0), topo_.host_node());
   for (LinkId l : route) {
     tm_.SetLinkBandwidthScale(l, 0.5);
   }
-  OneShotEvent* done = tm_.StartTransfer(topo_.gpu_node(0), topo_.host_node(),
-                                         static_cast<Bytes>(GBps(12.8)),
-                                         TransferKind::kSwapOut);
+  const TransferOutcome* done = probe_.Start(topo_.gpu_node(0), topo_.host_node(),
+                                             static_cast<Bytes>(GBps(12.8)),
+                                             TransferKind::kSwapOut);
   sim_.ScheduleAt(1.0, [&] {
     for (LinkId l : route) {
       tm_.SetLinkBandwidthScale(l, 1.0);
@@ -85,38 +90,92 @@ TEST_F(FaultTransferTest, MidFlightRestoreReRatesTheFlow) {
   });
   sim_.RunUntilIdle();
   // 6.4 GB moved in the degraded first second; the remaining 6.4 GB runs at full rate.
-  EXPECT_NEAR(done->fire_time(), 1.5, 1e-2);
+  EXPECT_NEAR(done->time, 1.5, 1e-2);
 }
 
 TEST_F(FaultTransferTest, FailNodeAbortsInFlightFlowsAndStillFires) {
-  OneShotEvent* doomed = tm_.StartTransfer(topo_.gpu_node(0), topo_.host_node(),
-                                           static_cast<Bytes>(GBps(12.8)),
-                                           TransferKind::kSwapOut);
-  OneShotEvent* survivor = tm_.StartTransfer(topo_.gpu_node(1), topo_.host_node(),
-                                             static_cast<Bytes>(GBps(12.8)),
-                                             TransferKind::kSwapOut);
+  const TransferOutcome* doomed = probe_.Start(topo_.gpu_node(0), topo_.host_node(),
+                                               static_cast<Bytes>(GBps(12.8)),
+                                               TransferKind::kSwapOut);
+  const TransferOutcome* survivor = probe_.Start(topo_.gpu_node(1), topo_.host_node(),
+                                                 static_cast<Bytes>(GBps(12.8)),
+                                                 TransferKind::kSwapOut);
   sim_.ScheduleAt(0.5, [&] { tm_.FailNode(topo_.gpu_node(0)); });
   sim_.RunUntilIdle();
-  ASSERT_TRUE(doomed->fired());
-  EXPECT_TRUE(tm_.WasAborted(doomed));
-  EXPECT_NEAR(doomed->fire_time(), 0.5, 1e-9);  // aborted at failure time, not completion
+  ASSERT_TRUE(doomed->fired);
+  EXPECT_TRUE(doomed->aborted);
+  EXPECT_NEAR(doomed->time, 0.5, 1e-9);  // aborted at failure time, not completion
   EXPECT_TRUE(tm_.NodeFailed(topo_.gpu_node(0)));
   EXPECT_EQ(tm_.flows_aborted(), 1);
   // The survivor sheds the contention: 3.2 GB moved while sharing the uplink, the
   // remaining 9.6 GB alone at full rate.
-  ASSERT_TRUE(survivor->fired());
-  EXPECT_FALSE(tm_.WasAborted(survivor));
-  EXPECT_NEAR(survivor->fire_time(), 1.25, 1e-2);
+  ASSERT_TRUE(survivor->fired);
+  EXPECT_FALSE(survivor->aborted);
+  EXPECT_NEAR(survivor->time, 1.25, 1e-2);
 }
 
 TEST_F(FaultTransferTest, TransferTouchingDeadNodeAbortsImmediately) {
   tm_.FailNode(topo_.gpu_node(2));
-  OneShotEvent* done = tm_.StartTransfer(topo_.gpu_node(2), topo_.host_node(), 1000,
-                                         TransferKind::kSwapOut);
+  const TransferOutcome* done = probe_.Start(topo_.gpu_node(2), topo_.host_node(), 1000,
+                                             TransferKind::kSwapOut);
   sim_.RunUntilIdle();
-  ASSERT_TRUE(done->fired());
-  EXPECT_TRUE(tm_.WasAborted(done));
-  EXPECT_DOUBLE_EQ(done->fire_time(), 0.0);
+  ASSERT_TRUE(done->fired);
+  EXPECT_TRUE(done->aborted);
+  EXPECT_DOUBLE_EQ(done->time, 0.0);
+}
+
+// Every abort path delivers the completion closure exactly once, flagged aborted: a flow in
+// flight when its endpoint fail-stops, a flow still in its route-latency window, a transfer
+// started against the dead node, and a flow whose retry budget a second flap exhausts. A
+// bystander on an untouched route completes once, unflagged.
+TEST_F(FaultTransferTest, EveryAbortDeliversExactlyOneAbortedCompletion) {
+  RetryPolicyConfig retry;
+  retry.max_attempts = 2;  // one retry: the second flap exhausts the budget
+  retry.base_delay_sec = 0.01;
+  retry.max_delay_sec = 0.04;
+  retry.jitter_frac = 0.0;
+  const RetryPolicy policy(retry);
+  tm_.SetRetryPolicy(&policy);
+  const Bytes bytes = static_cast<Bytes>(GBps(12.8));
+  const NodeId host = topo_.host_node();
+
+  const TransferOutcome* in_flight =
+      probe_.Start(topo_.gpu_node(0), host, bytes, TransferKind::kSwapOut);
+  const TransferOutcome* flapped =
+      probe_.Start(topo_.gpu_node(1), host, bytes, TransferKind::kSwapOut);
+  const TransferOutcome* bystander =
+      probe_.Start(topo_.gpu_node(2), topo_.gpu_node(3), bytes, TransferKind::kPeerToPeer);
+  const TransferOutcome* joining = nullptr;
+  const TransferOutcome* dead_at_start = nullptr;
+  // Route latency is 10 us, so a transfer started 1 us before the failure has not joined.
+  sim_.ScheduleAt(0.5 - 1e-6, [&] {
+    joining = probe_.Start(host, topo_.gpu_node(0), bytes, TransferKind::kSwapIn);
+  });
+  sim_.ScheduleAt(0.5, [&] {
+    tm_.FailNode(topo_.gpu_node(0));
+    dead_at_start = probe_.Start(topo_.gpu_node(0), host, bytes, TransferKind::kSwapOut);
+  });
+  // Flap only gpu1's own PCIe lane, so the flap hits the one flow that crosses it.
+  const std::vector<LinkId> lane = {topo_.Route(topo_.gpu_node(1), host)[0]};
+  sim_.ScheduleAt(0.6, [&] { tm_.FlapLinkFlows(lane); });
+  sim_.ScheduleAt(0.8, [&] { tm_.FlapLinkFlows(lane); });
+  sim_.RunUntilIdle();
+
+  ASSERT_NE(joining, nullptr);
+  ASSERT_NE(dead_at_start, nullptr);
+  for (const TransferOutcome* aborted : {in_flight, joining, dead_at_start, flapped}) {
+    EXPECT_EQ(aborted->deliveries, 1) << "transfer " << aborted->id;
+    EXPECT_TRUE(aborted->aborted) << "transfer " << aborted->id;
+  }
+  EXPECT_DOUBLE_EQ(in_flight->time, 0.5);
+  EXPECT_DOUBLE_EQ(joining->time, 0.5 - 1e-6 + 1e-5);
+  EXPECT_DOUBLE_EQ(dead_at_start->time, 0.5);
+  EXPECT_DOUBLE_EQ(flapped->time, 0.8);
+  EXPECT_EQ(bystander->deliveries, 1);
+  EXPECT_FALSE(bystander->aborted);
+  EXPECT_EQ(tm_.flows_aborted(), 4);
+  EXPECT_EQ(tm_.flows_retried(), 1);
+  EXPECT_EQ(tm_.retry_exhausted(), 1);
 }
 
 // ---- FaultInjector ----------------------------------------------------------------------------
@@ -278,23 +337,24 @@ TEST(FaultInjectorTest, NicFlowFlapAbortsCrossNodeFlowsOnly) {
   Topology topo = MakeClusterTopology(TwoNodeCluster());
   Simulator sim;
   TransferManager tm(&sim, &topo);
+  TransferProbe probe(&sim, &tm);
   FaultInjector injector(&sim, &tm);
   // gpu0 -> gpu2 crosses node 0's NIC; gpu0 -> gpu1 stays behind the PCIe switch.
-  OneShotEvent* doomed = tm.StartTransfer(topo.gpu_node(0), topo.gpu_node(2),
-                                          static_cast<Bytes>(GBps(12.8)),
-                                          TransferKind::kPeerToPeer);
-  OneShotEvent* survivor = tm.StartTransfer(topo.gpu_node(0), topo.gpu_node(1),
-                                            static_cast<Bytes>(GBps(12.8)),
-                                            TransferKind::kPeerToPeer);
+  const TransferOutcome* doomed = probe.Start(topo.gpu_node(0), topo.gpu_node(2),
+                                              static_cast<Bytes>(GBps(12.8)),
+                                              TransferKind::kPeerToPeer);
+  const TransferOutcome* survivor = probe.Start(topo.gpu_node(0), topo.gpu_node(1),
+                                                static_cast<Bytes>(GBps(12.8)),
+                                                TransferKind::kPeerToPeer);
   const StatusOr<FaultPlan> plan = ParseFaultSpec("flow_flap@0.5:nic0");
   ASSERT_TRUE(plan.ok());
   injector.Arm(plan.value());
   sim.RunUntilIdle();
-  ASSERT_TRUE(doomed->fired());
-  EXPECT_TRUE(tm.WasAborted(doomed));
-  EXPECT_NEAR(doomed->fire_time(), 0.5, 1e-9);
-  ASSERT_TRUE(survivor->fired());
-  EXPECT_FALSE(tm.WasAborted(survivor));
+  ASSERT_TRUE(doomed->fired);
+  EXPECT_TRUE(doomed->aborted);
+  EXPECT_NEAR(doomed->time, 0.5, 1e-9);
+  ASSERT_TRUE(survivor->fired);
+  EXPECT_FALSE(survivor->aborted);
 }
 
 TEST(FaultInjectorTest, OutOfRangeNetworkTargetsAreDroppedNotFatal) {
@@ -383,6 +443,80 @@ TEST(FaultSessionTest, CheckpointsCommitEveryKExceptAfterFinal) {
   EXPECT_EQ(result.report.last_checkpoint_iteration, 3);
   EXPECT_GT(result.report.checkpoint_bytes, 0);
   EXPECT_GT(result.report.last_checkpoint_time, 0.0);
+}
+
+// A checkpoint whose copy is in flight when a GPU fail-stops aborts that copy, and the
+// checkpoint never commits.
+TEST(FaultSessionTest, CheckpointCrossingAFailStopDoesNotCommit) {
+  const Model model = FaultModel();
+  SessionConfig config = FaultConfig(2, 4);
+  config.checkpoint_every = 2;  // one checkpoint, after iteration 1
+  const SessionResult clean = RunTraining(model, config);
+  ASSERT_FALSE(clean.report.failed);
+  ASSERT_EQ(clean.report.checkpoints_committed, 1);
+  ASSERT_GT(clean.report.checkpoint_bytes, 0);
+
+  // The checkpoint commits when its last copy lands; a microsecond earlier that copy (at
+  // least 1 MiB over PCIe, so tens of microseconds long) is still moving.
+  const double fail_at = clean.report.last_checkpoint_time - 1e-6;
+  config.faults.Add(FaultEvent{fail_at, FaultKind::kGpuFailStop, 1, 1.0, 0.0});
+  const SessionResult crossed = RunTraining(model, config);
+  EXPECT_TRUE(crossed.report.failed);
+  EXPECT_DOUBLE_EQ(crossed.report.failure_time, fail_at);
+  EXPECT_EQ(crossed.report.checkpoints_committed, 0);
+  EXPECT_EQ(crossed.report.last_checkpoint_iteration, -1);
+}
+
+// The transfer manager's abort side table alone keeps a checkpoint from committing: a flap
+// with no retry policy and no exhaustion handler aborts the in-flight copy without putting
+// the engine into its aborting mode, and the run goes on to finish.
+TEST(FaultSessionTest, CheckpointWithAnAbortedCopyDoesNotCommit) {
+  const Model model = FaultModel();
+  SessionConfig config = FaultConfig(2, 4);
+  struct Outcome {
+    RunReport report;
+    std::int64_t flows_aborted = 0;
+  };
+  auto run = [&](double flap_at) {
+    const Machine machine = MakeSessionMachine(config);
+    Simulator sim;
+    TransferManager transfers(&sim, &machine.topology);
+    TensorRegistry registry;
+    const Plan plan = BuildPlanForConfig(model, machine, &registry, config);
+    std::vector<Bytes> capacities;
+    for (const GpuSpec& gpu : machine.gpus) {
+      capacities.push_back(gpu.memory_bytes);
+    }
+    MemorySystem memory(&sim, &transfers, &registry, &machine.topology, capacities,
+                        DefaultPolicyFor(config.scheme, config.p2p));
+    CollectiveEngine collective(&sim, &transfers);
+    EngineOptions options;
+    options.prefetch = config.prefetch;
+    options.checkpoint_every = 2;  // one checkpoint, after iteration 1
+    Engine engine(&sim, &machine, &memory, &transfers, &collective, &plan, options);
+    if (flap_at >= 0.0) {
+      std::vector<LinkId> all_links;
+      for (LinkId l = 0; l < machine.topology.num_links(); ++l) {
+        all_links.push_back(l);
+      }
+      sim.ScheduleAt(flap_at, [&transfers, all_links] { transfers.FlapLinkFlows(all_links); });
+    }
+    Outcome outcome{engine.Run(), 0};
+    outcome.flows_aborted = transfers.flows_aborted();
+    return outcome;
+  };
+  const Outcome clean = run(-1.0);
+  ASSERT_FALSE(clean.report.failed);
+  ASSERT_EQ(clean.report.checkpoints_committed, 1);
+  ASSERT_EQ(clean.flows_aborted, 0);
+
+  // A microsecond before the commit, the last copy (at least 1 MiB) is still moving.
+  const Outcome flapped = run(clean.report.last_checkpoint_time - 1e-6);
+  EXPECT_GT(flapped.flows_aborted, 0);
+  EXPECT_FALSE(flapped.report.failed);
+  EXPECT_EQ(flapped.report.iterations.size(), clean.report.iterations.size());
+  EXPECT_EQ(flapped.report.checkpoints_committed, 0);
+  EXPECT_EQ(flapped.report.last_checkpoint_iteration, -1);
 }
 
 TEST(FaultSessionTest, DegradeSlowsTheRunThenExpires) {

@@ -232,8 +232,7 @@ TEST_P(RandomFlowChurnTest, IncrementalStateMatchesFromScratchRebuild) {
       ++real_flows;
     }
     sim.ScheduleAfter(start, [&tm, &completions_observed, src, dst, bytes, kind] {
-      tm.StartTransfer(src, dst, bytes, kind)
-          ->OnFired([&completions_observed] { ++completions_observed; });
+      tm.StartTransfer(src, dst, bytes, kind, [&completions_observed] { ++completions_observed; });
     });
   }
   // Probes land throughout the churn window, including between the events a completion or

@@ -23,6 +23,7 @@
 #include "src/sim/fault_plan.h"
 #include "src/sim/simulator.h"
 #include "tests/test_models.h"
+#include "tests/transfer_probe.h"
 
 namespace harmony {
 namespace {
@@ -106,12 +107,13 @@ class RetryTransferTest : public ::testing::Test {
   Simulator sim_;
   Topology topo_;
   TransferManager tm_;
+  TransferProbe probe_{&sim_, &tm_};
 };
 
 TEST_F(RetryTransferTest, FlapWithoutPolicyAbortsImmediately) {
-  OneShotEvent* done = tm_.StartTransfer(topo_.gpu_node(0), topo_.host_node(),
-                                         static_cast<Bytes>(GBps(12.8)),
-                                         TransferKind::kSwapOut);
+  const TransferOutcome* done = probe_.Start(topo_.gpu_node(0), topo_.host_node(),
+                                             static_cast<Bytes>(GBps(12.8)),
+                                             TransferKind::kSwapOut);
   std::int64_t exhausted_flow = -1;
   double exhausted_at = -1.0;
   tm_.SetRetryExhaustedHandler([&](std::int64_t flow, SimTime when) {
@@ -120,8 +122,8 @@ TEST_F(RetryTransferTest, FlapWithoutPolicyAbortsImmediately) {
   });
   sim_.ScheduleAt(0.5, [this] { tm_.FlapLinkFlows(AllLinks()); });
   sim_.RunUntilIdle();
-  ASSERT_TRUE(done->fired());
-  EXPECT_TRUE(tm_.WasAborted(done));
+  ASSERT_TRUE(done->fired);
+  EXPECT_TRUE(done->aborted);
   EXPECT_EQ(tm_.flows_aborted(), 1);
   EXPECT_EQ(tm_.retry_exhausted(), 1);
   EXPECT_EQ(tm_.flows_retried(), 0);
@@ -139,20 +141,20 @@ TEST_F(RetryTransferTest, FlapWithBudgetRetriesAndCompletes) {
   tm_.SetRetryPolicy(&policy);
 
   const Bytes bytes = static_cast<Bytes>(GBps(12.8));
-  OneShotEvent* done =
-      tm_.StartTransfer(topo_.gpu_node(0), topo_.host_node(), bytes, TransferKind::kSwapOut);
+  const TransferOutcome* done =
+      probe_.Start(topo_.gpu_node(0), topo_.host_node(), bytes, TransferKind::kSwapOut);
   sim_.ScheduleAt(0.5, [this] { tm_.FlapLinkFlows(AllLinks()); });
   sim_.RunUntilIdle();
 
-  ASSERT_TRUE(done->fired());
-  EXPECT_FALSE(tm_.WasAborted(done));
+  ASSERT_TRUE(done->fired);
+  EXPECT_FALSE(done->aborted);
   EXPECT_EQ(tm_.flows_retried(), 1);
   EXPECT_EQ(tm_.retry_exhausted(), 0);
   EXPECT_EQ(tm_.flows_aborted(), 0);
   EXPECT_DOUBLE_EQ(tm_.retry_backoff_sec(), 0.01);
   // Full retransmit: the retry restarts from byte zero, so completion lands at
   // roughly flap time + backoff + a full transfer (~1 s), not at ~1 s total.
-  EXPECT_GT(done->fire_time(), 1.4);
+  EXPECT_GT(done->time, 1.4);
 
   // Byte-count-once: ingress/egress accounting happens at StartTransfer and is never
   // re-counted on retry; completed-flow link bytes count the single completion.
@@ -178,15 +180,15 @@ TEST_F(RetryTransferTest, RepeatedFlapsExhaustTheBudget) {
   int exhausted_calls = 0;
   tm_.SetRetryExhaustedHandler([&](std::int64_t, SimTime) { ++exhausted_calls; });
 
-  OneShotEvent* done = tm_.StartTransfer(topo_.gpu_node(0), topo_.host_node(),
-                                         static_cast<Bytes>(GBps(12.8)),
-                                         TransferKind::kSwapOut);
+  const TransferOutcome* done = probe_.Start(topo_.gpu_node(0), topo_.host_node(),
+                                             static_cast<Bytes>(GBps(12.8)),
+                                             TransferKind::kSwapOut);
   sim_.ScheduleAt(0.5, [this] { tm_.FlapLinkFlows(AllLinks()); });
   sim_.ScheduleAt(0.7, [this] { tm_.FlapLinkFlows(AllLinks()); });
   sim_.RunUntilIdle();
 
-  ASSERT_TRUE(done->fired());
-  EXPECT_TRUE(tm_.WasAborted(done));
+  ASSERT_TRUE(done->fired);
+  EXPECT_TRUE(done->aborted);
   EXPECT_EQ(tm_.flows_retried(), 1);
   EXPECT_EQ(tm_.retry_exhausted(), 1);
   EXPECT_EQ(tm_.flows_aborted(), 1);
@@ -197,17 +199,17 @@ TEST_F(RetryTransferTest, PendingFlowsInLatencyWindowEscapeFlaps) {
   RetryPolicyConfig config;
   const RetryPolicy policy(config);
   tm_.SetRetryPolicy(&policy);
-  OneShotEvent* done = tm_.StartTransfer(topo_.gpu_node(0), topo_.host_node(),
-                                         static_cast<Bytes>(GBps(12.8)),
-                                         TransferKind::kSwapOut);
+  const TransferOutcome* done = probe_.Start(topo_.gpu_node(0), topo_.host_node(),
+                                             static_cast<Bytes>(GBps(12.8)),
+                                             TransferKind::kSwapOut);
   // The flow has not joined its links yet (route latency has not elapsed), so a flap
   // right now finds nothing in flight.
   EXPECT_EQ(tm_.FlapLinkFlows(AllLinks()), 0);
   sim_.RunUntilIdle();
-  ASSERT_TRUE(done->fired());
-  EXPECT_FALSE(tm_.WasAborted(done));
+  ASSERT_TRUE(done->fired);
+  EXPECT_FALSE(done->aborted);
   EXPECT_EQ(tm_.flows_retried(), 0);
-  EXPECT_NEAR(done->fire_time(), 1.0, 1e-3);
+  EXPECT_NEAR(done->time, 1.0, 1e-3);
 }
 
 // ---- CheckpointStore -------------------------------------------------------------------

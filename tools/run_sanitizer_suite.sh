@@ -32,6 +32,12 @@
 #                         the LRU links shared machine-wide, the next-use index and the
 #                         tensor waiter lists are indexed by tensor id, where ASan
 #                         catches a stale or out-of-range index.
+#   - `ctest -L hw`     : the topology and transfer manager (UBSan and ASan jobs) — tree
+#                         routes held inline, and completion closures that move through
+#                         the pending and active flow tables and are destroyed once run.
+#   - `ctest -R fault`  : the fault-injection suite (UBSan and ASan jobs) — the abort,
+#                         retry and fail-node paths, where a completion closure is
+#                         delivered early, flagged aborted, instead of at completion.
 # Pass --full to run the entire ctest suite under each sanitizer instead (slower).
 #
 # Usage: tools/run_sanitizer_suite.sh [--full]
@@ -61,6 +67,10 @@ run_one() {
     (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L chaos)
     (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L cluster)
     (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L sched)
+    if [[ $sanitizer != thread ]]; then
+      (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L hw)
+      (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -R fault)
+    fi
     if [[ $sanitizer == address ]]; then
       (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L mem)
     fi
