@@ -32,11 +32,11 @@ Outcome RunBest(const char* name, const harmony::Model& model,
   std::vector<Outcome> outcomes;
   outcomes.reserve(candidates.size());
   for (const auto& [suffix, config] : candidates) {
-    const auto peaks = CachedProbePeakWorkingSet(model, config);
-    if (*std::max_element(peaks.begin(), peaks.end()) > config.server.gpu.memory_bytes) {
+    const SessionProfile profile = ProfileSession(model, config);
+    if (!profile.report.has_value()) {
       continue;  // infeasible point
     }
-    outcomes.push_back(Outcome{std::string(name) + suffix, ProfileTraining(model, config)});
+    outcomes.push_back(Outcome{std::string(name) + suffix, *profile.report});
     // Attribution goes to stderr: the golden-stdout gate pins this bench's stdout.
     std::fprintf(stderr, "[explain] %s: %s\n", outcomes.back().label.c_str(),
                  Attribute(outcomes.back().report).Summary().c_str());

@@ -96,14 +96,14 @@ int main(int argc, char** argv) {
     config.microbatches = 4;
     config.iterations = 3;
     config.recompute = rc;
-    const auto peaks = CachedProbePeakWorkingSet(bert, config);
-    const Bytes peak = *std::max_element(peaks.begin(), peaks.end());
-    if (peak > base.server.gpu.memory_bytes) {
+    const SessionProfile profile = ProfileSession(bert, config);
+    const Bytes peak = *std::max_element(profile.peaks.begin(), profile.peaks.end());
+    if (!profile.report.has_value()) {
       recompute.Row().Cell(rc ? "recompute" : "stash").Cell(FormatBytes(peak)).Cell("-").Cell(
           "infeasible");
       continue;
     }
-    const RunReport report = ProfileTraining(bert, config);
+    const RunReport& report = *profile.report;
     recompute.Row()
         .Cell(rc ? "recompute" : "stash")
         .Cell(FormatBytes(peak))

@@ -8,6 +8,7 @@
 // weights per layer) on the 4x 11 GiB server.
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "src/core/session.h"
 #include "src/graph/model_zoo.h"
@@ -38,9 +39,10 @@ int main() {
     config.microbatches = scheme == Scheme::kBaselineDp ? 1 : 4;
     config.microbatch_size = 4;
     config.iterations = 3;
-    const auto peaks = ProbePeakWorkingSet(model, config);
+    StatusOr<PreparedSession> session = PrepareSession(model, config);
+    const std::vector<Bytes>& peaks = session.value().peak_task_working_set;
     const Bytes peak = *std::max_element(peaks.begin(), peaks.end());
-    if (peak > config.server.gpu.memory_bytes) {
+    if (!session.value().Fit().ok()) {
       table.Row()
           .Cell(SchemeName(scheme))
           .Cell("NO")
@@ -51,7 +53,7 @@ int main() {
           .Cell("-");
       continue;
     }
-    const SessionResult result = RunTraining(model, config);
+    const SessionResult result = RunPreparedSession(std::move(session).value());
     table.Row()
         .Cell(SchemeName(scheme))
         .Cell("yes")

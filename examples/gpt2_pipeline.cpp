@@ -5,6 +5,7 @@
 // overflow; this example explores pack size and recomputation to find a workable recipe.
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "src/core/session.h"
 #include "src/graph/model_zoo.h"
@@ -48,9 +49,10 @@ int main() {
     config.iterations = 3;
     config.recompute = candidate.recompute;
 
-    const auto peaks = ProbePeakWorkingSet(gpt2, config);
+    StatusOr<PreparedSession> session = PrepareSession(gpt2, config);
+    const std::vector<Bytes>& peaks = session.value().peak_task_working_set;
     const Bytes peak = *std::max_element(peaks.begin(), peaks.end());
-    if (peak > config.server.gpu.memory_bytes) {
+    if (!session.value().Fit().ok()) {
       table.Row()
           .Cell(candidate.label)
           .Cell("no")
@@ -60,7 +62,7 @@ int main() {
           .Cell("-");
       continue;
     }
-    const SessionResult result = RunTraining(gpt2, config);
+    const SessionResult result = RunPreparedSession(std::move(session).value());
     table.Row()
         .Cell(candidate.label)
         .Cell("yes")

@@ -8,17 +8,6 @@
 namespace harmony {
 namespace {
 
-bool IsDataParallel(Scheme scheme) {
-  return scheme == Scheme::kBaselineDp || scheme == Scheme::kHarmonyDp;
-}
-
-bool TargetsGpu(const FaultEvent& event) {
-  return event.kind == FaultKind::kGpuFailStop || event.kind == FaultKind::kGpuLinkDegrade ||
-         event.kind == FaultKind::kGpuSlow ||
-         ((event.kind == FaultKind::kFlowFlap || event.kind == FaultKind::kLinkBrownout) &&
-          event.gpu >= 0);
-}
-
 // Fire-and-forget kinds with no time window: either they happen inside the segment or
 // they already happened.
 bool Instantaneous(const FaultEvent& event) {
@@ -49,7 +38,9 @@ FaultPlan ShiftFaultPlan(const FaultPlan& plan, double offset, const std::vector
   }
   FaultPlan shifted;
   for (FaultEvent event : plan.events()) {
-    if (TargetsGpu(event) && dead[static_cast<std::size_t>(event.gpu)]) {
+    // A GPU target outside the machine passes through unchanged, for validation to name.
+    const bool gpu_target = event.TargetsGpu() && static_cast<std::size_t>(event.gpu) < dead.size();
+    if (gpu_target && dead[static_cast<std::size_t>(event.gpu)]) {
       continue;  // the target died in an earlier segment; its links no longer exist
     }
     const double local_time = event.time - offset;
@@ -72,7 +63,7 @@ FaultPlan ShiftFaultPlan(const FaultPlan& plan, double offset, const std::vector
     } else {
       event.time = local_time;
     }
-    if (TargetsGpu(event)) {
+    if (gpu_target) {
       event.gpu = local[static_cast<std::size_t>(event.gpu)];
     }
     shifted.Add(event);
@@ -89,6 +80,16 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
   const int total_microbatches =
       data_parallel ? config.microbatches * total_gpus : config.microbatches;
 
+  // Survivors are tracked over one server's GPUs, so a GPU fault on another node of a
+  // cluster has no survivor slot to rebind from.
+  for (const FaultEvent& event : config.faults.events()) {
+    if (event.TargetsGpu() && event.gpu >= total_gpus && event.gpu < config.total_gpus()) {
+      result.status = FailedPreconditionError(
+          "fault event '" + event.ToString() + "' targets node " +
+          std::to_string(event.gpu / total_gpus) + "; elastic recovery rebinds within one node");
+      return result;
+    }
+  }
   std::vector<int> alive(static_cast<std::size_t>(total_gpus));
   std::iota(alive.begin(), alive.end(), 0);
   std::vector<bool> dead(static_cast<std::size_t>(total_gpus), false);
@@ -101,24 +102,18 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
   // Dropped to 0 when a straggler cannot be excluded (the run completes degraded on the
   // full device set instead of re-classifying the same straggler every segment).
   double straggler_threshold = config.straggler_threshold;
-  const auto finalize = [&result, &store] {
-    result.stats.ckpt_verified = store.verified_ok();
-    result.stats.ckpt_corrupt_detected = store.corrupt_detected();
-  };
 
   for (;;) {
     if (alive.empty()) {
       result.status = FailedPreconditionError(
           "every GPU has fail-stopped; no surviving device to rebind onto");
-      finalize();
-      return result;
+      break;
     }
     if (result.segments.size() >= kMaxSegments) {
       result.status = ResourceExhaustedError(
           "recovery did not converge after " + std::to_string(kMaxSegments) +
           " segments — the fault plan keeps striking faster than progress commits");
-      finalize();
-      return result;
+      break;
     }
 
     RecoverySegment segment;
@@ -144,20 +139,20 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
     }
     segment.config.faults = ShiftFaultPlan(config.faults, offset, dead, alive);
 
-    if (!result.segments.empty()) {
-      // Rebinding onto fewer devices concentrates layers/replicas; re-check feasibility
-      // instead of letting RunTraining die on a working-set HCHECK.
-      const Status feasible = ValidateSessionConfig(model, segment.config);
-      if (!feasible.ok()) {
-        result.status = FailedPreconditionError(
-            "surviving configuration on " + std::to_string(alive.size()) +
-            " GPUs is infeasible: " + feasible.message());
-        finalize();
-        return result;
-      }
+    // Rebinding onto fewer devices concentrates layers/replicas, so a rebound
+    // configuration may no longer fit.
+    StatusOr<PreparedSession> prepared = PrepareSession(model, segment.config);
+    const Status feasible = prepared.ok() ? prepared.value().Fit() : prepared.status();
+    if (!feasible.ok()) {
+      result.status = result.segments.empty()
+                          ? feasible
+                          : FailedPreconditionError(
+                                "surviving configuration on " + std::to_string(alive.size()) +
+                                " GPUs is infeasible: " + feasible.message());
+      break;
     }
 
-    segment.result = RunTraining(model, segment.config);
+    segment.result = RunPreparedSession(std::move(prepared).value());
     // The store is owned by this coordinator; don't leak a dangling pointer into the
     // replayable per-segment config.
     segment.config.checkpoint_store = nullptr;
@@ -213,8 +208,7 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
             "all " + std::to_string(store.committed()) +
             " committed checkpoint generation(s) failed digest verification — nothing "
             "valid to roll back to");
-        finalize();
-        return result;
+        break;
       }
       const double rollback_time = generation != nullptr ? generation->time : offset;
       result.stats.lost_work_sec += (offset + failure_time) - rollback_time;
@@ -238,10 +232,13 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
     result.status = FailedPreconditionError(
         "schedule stalled (watchdog) at sim time " + std::to_string(failure_time) +
         " — rebinding cannot fix a livelocked configuration");
-    finalize();
+    break;
+  }
+  result.stats.ckpt_verified = store.verified_ok();
+  result.stats.ckpt_corrupt_detected = store.corrupt_detected();
+  if (!result.status.ok()) {
     return result;
   }
-  finalize();
 
   // Checkpoint fan-out cost: weights + optimizer state the survivors had to re-stage in
   // each recovery segment's first iteration.

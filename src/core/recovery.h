@@ -59,8 +59,8 @@ struct RecoveryStats {
 
 struct ElasticResult {
   // Ok when training completed on some surviving set; an error (with the partial segments
-  // kept) when recovery is impossible: every GPU dead, a DP shrink that cannot preserve
-  // the minibatch, an infeasible survivor configuration, or a watchdog stall.
+  // kept) when the configuration is invalid or recovery is impossible: every GPU dead, a DP
+  // shrink that cannot preserve the minibatch, an infeasible survivor, or a watchdog stall.
   Status status;
   std::vector<RecoverySegment> segments;
   RecoveryStats stats;
@@ -77,8 +77,8 @@ struct ElasticResult {
 
 // Runs training under `config`, recovering from injected GPU fail-stops by rebinding onto
 // the survivors. With no faults armed this degenerates to exactly one RunTraining call.
-// Configurations should pass ValidateSessionConfig first; infeasible rebound
-// configurations surface in `status`, not as crashes.
+// Each segment validates and runs one prepared session: a configuration that fails
+// validation surfaces in `status` (unwrapped, with no segments, for the first).
 ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config);
 
 // Rewrites `plan` into the frame of a recovery segment starting at global sim time

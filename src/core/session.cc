@@ -1,6 +1,7 @@
 #include "src/core/session.h"
 
 #include <cmath>
+#include <utility>
 
 #include "src/baseline/baseline_dp.h"
 #include "src/baseline/baseline_pp.h"
@@ -35,6 +36,10 @@ const char* SchemeName(Scheme scheme) {
       return "serving";
   }
   return "unknown";
+}
+
+bool IsDataParallel(Scheme scheme) {
+  return scheme == Scheme::kBaselineDp || scheme == Scheme::kHarmonyDp;
 }
 
 StatusOr<Scheme> SchemeByName(const std::string& name) {
@@ -110,14 +115,19 @@ Plan BuildPlanForConfig(const Model& model, const Machine& machine, TensorRegist
   return plan;
 }
 
-std::vector<Bytes> ProbePeakWorkingSet(const Model& model, const SessionConfig& config) {
-  Machine machine = MakeSessionMachine(config);
-  TensorRegistry registry;
-  const Plan plan = BuildPlanForConfig(model, machine, &registry, config);
-  return plan.PeakTaskWorkingSet(registry);
+Status PreparedSession::Fit() const {
+  for (std::size_t d = 0; d < peak_task_working_set.size(); ++d) {
+    if (peak_task_working_set[d] > capacities[d]) {
+      return InvalidArgumentError("infeasible configuration: a single task's working set (" +
+                                  FormatBytes(peak_task_working_set[d]) + ") exceeds gpu" +
+                                  std::to_string(d) + " memory (" + FormatBytes(capacities[d]) +
+                                  ") — shrink microbatch_size or pack_size");
+    }
+  }
+  return Status::Ok();
 }
 
-Status ValidateSessionConfig(const Model& model, const SessionConfig& config) {
+StatusOr<PreparedSession> PrepareSession(const Model& model, const SessionConfig& config) {
   if (model.num_layers() < 1) {
     return InvalidArgumentError("model has no layers — need at least one");
   }
@@ -162,10 +172,9 @@ Status ValidateSessionConfig(const Model& model, const SessionConfig& config) {
         "uplink_bw_fraction must be in (0, 1] — the share of host-uplink and network "
         "bandwidth this session may draw");
   }
-  const bool data_parallel =
-      config.scheme == Scheme::kBaselineDp || config.scheme == Scheme::kHarmonyDp;
   HARMONY_RETURN_IF_ERROR(ValidateDecomposerOptions(
-      config.total_gpus(), config, /*num_replicas=*/data_parallel ? config.total_gpus() : 1));
+      config.total_gpus(), config,
+      /*num_replicas=*/IsDataParallel(config.scheme) ? config.total_gpus() : 1));
   if (config.pack_size < 1) {
     return InvalidArgumentError("pack_size must be >= 1, got " +
                                 std::to_string(config.pack_size));
@@ -197,58 +206,46 @@ Status ValidateSessionConfig(const Model& model, const SessionConfig& config) {
     return InvalidArgumentError(
         "straggler_threshold must be 0 (off) or > 1 (a healthy device sits at exactly 1.0)");
   }
-  // Each node has one NIC; rack count follows the nodes_per_rack grouping (0 = one rack).
-  const int num_nics = config.num_nodes > 1 ? config.num_nodes : 0;
-  const int nodes_per_rack =
-      config.nodes_per_rack == 0 ? config.num_nodes : config.nodes_per_rack;
-  const int num_racks =
-      config.num_nodes > 1 ? (config.num_nodes + nodes_per_rack - 1) / nodes_per_rack : 0;
+  PreparedSession session;
+  session.config = config;
+  session.machine = MakeSessionMachine(config);
+  for (const GpuSpec& gpu : session.machine.gpus) {
+    session.capacities.push_back(gpu.memory_bytes);
+  }
+  // Fault targets are checked against the machine just built.
+  const Topology& topology = session.machine.topology;
   for (const FaultEvent& event : config.faults.events()) {
-    const bool targets_gpu =
-        event.kind == FaultKind::kGpuFailStop || event.kind == FaultKind::kGpuLinkDegrade ||
-        event.kind == FaultKind::kGpuSlow ||
-        ((event.kind == FaultKind::kFlowFlap || event.kind == FaultKind::kLinkBrownout) &&
-         event.gpu >= 0 && event.nic < 0 && event.rack < 0);
-    if (targets_gpu && event.gpu >= config.total_gpus()) {
+    if (event.TargetsGpu() && event.gpu >= config.total_gpus()) {
       return InvalidArgumentError("fault event '" + event.ToString() + "' targets gpu" +
                                   std::to_string(event.gpu) + " but the machine has only " +
                                   std::to_string(config.total_gpus()) + " GPUs");
     }
-    if (event.nic >= num_nics) {
-      return InvalidArgumentError("fault event '" + event.ToString() + "' targets nic" +
-                                  std::to_string(event.nic) + " but the machine has " +
-                                  std::to_string(num_nics) + " NICs (one per node; nodes=" +
-                                  std::to_string(config.num_nodes) + ")");
+    if (event.nic >= topology.num_nics()) {
+      return InvalidArgumentError(
+          "fault event '" + event.ToString() + "' targets nic" + std::to_string(event.nic) +
+          " but the machine has " + std::to_string(topology.num_nics()) +
+          " NICs (one per node; nodes=" + std::to_string(config.num_nodes) + ")");
     }
-    if (event.rack >= num_racks) {
+    if (event.rack >= topology.num_racks()) {
       return InvalidArgumentError("fault event '" + event.ToString() + "' targets rack" +
                                   std::to_string(event.rack) + " but the machine has " +
-                                  std::to_string(num_racks) + " racks");
+                                  std::to_string(topology.num_racks()) + " racks");
     }
   }
-  // Shape is sane; now probe the decomposition for per-task memory fit.
-  const std::vector<Bytes> peaks = ProbePeakWorkingSet(model, config);
-  for (std::size_t d = 0; d < peaks.size(); ++d) {
-    const Bytes capacity = config.server.gpu.memory_bytes;
-    if (peaks[d] > capacity) {
-      return InvalidArgumentError(
-          "infeasible configuration: a single task's working set (" + FormatBytes(peaks[d]) +
-          ") exceeds gpu" + std::to_string(d) + " memory (" + FormatBytes(capacity) +
-          ") — shrink microbatch_size or pack_size");
-    }
-  }
-  return Status::Ok();
+  session.plan = BuildPlanForConfig(model, session.machine, &session.registry, config);
+  session.peak_task_working_set = session.plan.PeakTaskWorkingSet(session.registry);
+  return session;
 }
 
-SessionResult RunTraining(const Model& model, const SessionConfig& config) {
-  Machine machine = MakeSessionMachine(config);
+SessionResult RunPreparedSession(PreparedSession session) {
+  const Status fit = session.Fit();
+  HCHECK(fit.ok()) << fit.ToString();
+  auto& [config, machine, registry, plan, capacities, peaks] = session;
   Simulator sim;
   TransferManager transfers(&sim, &machine.topology);
   // Tenant bandwidth reservation (DESIGN.md §13): applied before any flow exists, so a
   // full share (the default 1.0) keeps the historical event sequence bit-for-bit.
   transfers.ApplyUplinkBandwidthQuota(config.uplink_bw_fraction);
-  TensorRegistry registry;
-  Plan plan = BuildPlanForConfig(model, machine, &registry, config);
   // Pre-size the event arena from the plan's actual shape: each task contributes a handful
   // of control events plus one transfer (join + completion wakeup) per working-set entry it
   // fetches or writes back. This over-counts the *peak outstanding* events — most complete
@@ -268,11 +265,6 @@ SessionResult RunTraining(const Model& model, const SessionConfig& config) {
     policy.eviction = EvictionPolicy::kLookahead;
   }
 
-  std::vector<Bytes> capacities;
-  capacities.reserve(machine.gpus.size());
-  for (const GpuSpec& gpu : machine.gpus) {
-    capacities.push_back(gpu.memory_bytes);
-  }
   // Static lint (cheap tier) before anything executes: catches structural corruption,
   // pin-balance leaks, collective rank mismatches, and rendezvous deadlocks that would
   // otherwise surface as hangs or quiescence failures mid-run. Silent when clean.
@@ -289,15 +281,8 @@ SessionResult RunTraining(const Model& model, const SessionConfig& config) {
   memory.set_audit_eviction(config.audit_eviction);
   CollectiveEngine collective(&sim, &transfers);
 
-  // Fail fast with a clear message when a single task cannot fit.
   SessionResult result;
-  result.peak_task_working_set = plan.PeakTaskWorkingSet(registry);
-  for (int d = 0; d < plan.num_devices(); ++d) {
-    HCHECK_LE(result.peak_task_working_set[static_cast<std::size_t>(d)],
-              capacities[static_cast<std::size_t>(d)])
-        << "scheme " << plan.scheme << ": a single task's working set exceeds gpu" << d
-        << " memory — shrink microbatch_size or pack_size";
-  }
+  result.peak_task_working_set = std::move(peaks);
   result.memory_demand_per_device = ComputeMemoryDemand(plan, registry);
 
   EngineOptions engine_options;
@@ -356,6 +341,15 @@ SessionResult RunTraining(const Model& model, const SessionConfig& config) {
   }
   result.plan = std::move(plan);
   return result;
+}
+
+Status ValidateSessionConfig(const Model& model, const SessionConfig& config) {
+  const StatusOr<PreparedSession> session = PrepareSession(model, config);
+  return session.ok() ? session.value().Fit() : session.status();
+}
+
+SessionResult RunTraining(const Model& model, const SessionConfig& config) {
+  return RunPreparedSession(PrepareSession(model, config).value());
 }
 
 }  // namespace harmony

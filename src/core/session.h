@@ -33,6 +33,9 @@ enum class Scheme {
 
 const char* SchemeName(Scheme scheme);
 
+// True for the data-parallel schemes, which replicate the model on every GPU.
+bool IsDataParallel(Scheme scheme);
+
 // Inverse of SchemeName: resolves a user-facing scheme string (flag values, job specs)
 // with a typed error listing nothing silently. Accepts every scheme, including "serving".
 StatusOr<Scheme> SchemeByName(const std::string& name);
@@ -53,7 +56,7 @@ struct SessionConfig : PlanOptions {
   LinkSpec rack_link = Ethernet100G(); // ToR <-> spine (only built with > 1 rack)
 
   // Widened before multiplying so an unvalidated config can't trip signed-overflow UB;
-  // ValidateSessionConfig bounds the product by kMaxClusterGpus, so the narrowing is
+  // PrepareSession bounds the product by kMaxClusterGpus, so the narrowing is
   // lossless for any config that passes validation.
   int total_gpus() const {
     return static_cast<int>(std::int64_t{num_nodes} * server.num_gpus);
@@ -122,15 +125,33 @@ struct SessionResult {
                                                // eviction, write-back, and p2p fetch in order
 };
 
-// Validates user-reachable configuration (everything the harmony_sim flags can set) with
-// actionable messages instead of crashing: positive workload shape, scheme constraints,
-// fault-spec targets within the machine, and single-task working-set fit.
+// A session built but not yet run: its machine, registry and plan, built once, and each
+// device's largest single-task working set.
+struct PreparedSession {
+  SessionConfig config;
+  Machine machine;
+  TensorRegistry registry;
+  Plan plan;
+  std::vector<Bytes> capacities;             // memory per device
+  std::vector<Bytes> peak_task_working_set;  // per device
+
+  Status Fit() const;  // the "infeasible configuration" error when a task cannot fit
+};
+
+// Checks everything the harmony_sim flags can set (workload shape, scheme constraints,
+// fault targets within the machine) with actionable messages, then builds the session. An
+// infeasible configuration still prepares, so its peaks can be read.
+StatusOr<PreparedSession> PrepareSession(const Model& model, const SessionConfig& config);
+
+// Executes a prepared session on a fresh simulator; memory demand and the cheap plan lint
+// run here, not in PrepareSession. Fatal when the session does not Fit().
+SessionResult RunPreparedSession(PreparedSession session);
+
+// PrepareSession, then Fit().
 Status ValidateSessionConfig(const Model& model, const SessionConfig& config);
 
-// Builds and runs one training session. Fatal on infeasible configurations (a single task's
-// working set exceeding device memory) with a diagnostic message — run
-// ValidateSessionConfig first to get a Status instead. With `config.faults` armed the run
-// does not crash on failure: the report comes back with `failed` set (see
+// PrepareSession (fatal on error), then RunPreparedSession. With `config.faults` armed the
+// run does not crash on failure: the report comes back with `failed` set (see
 // RunTrainingElastic in core/recovery.h for the resume-on-survivors path).
 SessionResult RunTraining(const Model& model, const SessionConfig& config);
 
@@ -142,13 +163,9 @@ MemoryPolicy DefaultPolicyFor(Scheme scheme, bool p2p);
 // `config.server` behind the NIC / rack fabric.
 Machine MakeSessionMachine(const SessionConfig& config);
 
-// Builds just the plan for `config` (no execution) against `registry`; exposed for tests and
-// for the tuner's feasibility probing.
+// Builds just the plan for `config` (no execution) against `registry`; exposed for tests.
 Plan BuildPlanForConfig(const Model& model, const Machine& machine, TensorRegistry* registry,
                         const SessionConfig& config);
-
-// Largest single-task working set per device for `config`, without running anything.
-std::vector<Bytes> ProbePeakWorkingSet(const Model& model, const SessionConfig& config);
 
 }  // namespace harmony
 

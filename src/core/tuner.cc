@@ -67,10 +67,10 @@ std::string SimulationKey(const Model& model, const SessionConfig& config) {
   return os.str();
 }
 
+// One entry per SimulationKey: the peaks, and the report when the config fits.
 struct TunerCache {
   std::mutex mu;
-  std::map<std::string, std::vector<Bytes>> probes;
-  std::map<std::string, RunReport> profiles;
+  std::map<std::string, SessionProfile> entries;
   TunerCacheStats stats;
 };
 
@@ -79,36 +79,20 @@ TunerCache& Cache() {
   return *cache;
 }
 
-}  // namespace
-
-std::vector<Bytes> CachedProbePeakWorkingSet(const Model& model, const SessionConfig& config,
-                                             bool memoize) {
-  if (!memoize) {
-    return ProbePeakWorkingSet(model, config);
+// Prepares `config` once and runs that prepared session when it fits.
+SessionProfile Simulate(const Model& model, const SessionConfig& config) {
+  StatusOr<PreparedSession> session = PrepareSession(model, config);
+  SessionProfile profile;
+  profile.peaks = session.value().peak_task_working_set;
+  if (session.value().Fit().ok()) {
+    profile.report = RunPreparedSession(std::move(session).value()).report;
   }
-  TunerCache& cache = Cache();
-  const std::string key = SimulationKey(model, config);
-  {
-    std::lock_guard<std::mutex> lock(cache.mu);
-    const auto it = cache.probes.find(key);
-    if (it != cache.probes.end()) {
-      ++cache.stats.probe_hits;
-      return it->second;
-    }
-    ++cache.stats.probe_misses;
-  }
-  // Computed outside the lock so concurrent sweep points never serialize on the cache; a
-  // racing duplicate computes the same deterministic value and the insert is idempotent.
-  std::vector<Bytes> peaks = ProbePeakWorkingSet(model, config);
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.probes.emplace(key, peaks);
-  return peaks;
+  return profile;
 }
 
-RunReport ProfileTraining(const Model& model, const SessionConfig& config, bool memoize) {
-  if (!memoize) {
-    return RunTraining(model, config).report;
-  }
+// The cached profile of `config`, simulated on a miss. Every lookup of a config that fits
+// counts as a report lookup; `count_peaks` also counts it as a peak lookup.
+SessionProfile LookUp(const Model& model, const SessionConfig& config, bool count_peaks) {
   // A cache hit would skip the commits the store is meant to receive.
   HCHECK(config.checkpoint_store == nullptr)
       << "memoized profiling cannot feed a checkpoint_store; pass memoize=false";
@@ -116,17 +100,36 @@ RunReport ProfileTraining(const Model& model, const SessionConfig& config, bool 
   const std::string key = SimulationKey(model, config);
   {
     std::lock_guard<std::mutex> lock(cache.mu);
-    const auto it = cache.profiles.find(key);
-    if (it != cache.profiles.end()) {
-      ++cache.stats.profile_hits;
+    const auto it = cache.entries.find(key);
+    if (it != cache.entries.end()) {
+      cache.stats.probe_hits += count_peaks ? 1 : 0;
+      cache.stats.profile_hits += it->second.report.has_value() ? 1 : 0;
       return it->second;
     }
-    ++cache.stats.profile_misses;
   }
-  RunReport report = RunTraining(model, config).report;
+  // Computed outside the lock so concurrent sweep points never serialize on the cache; a
+  // racing duplicate computes the same deterministic value and the insert is idempotent.
+  SessionProfile profile = Simulate(model, config);
   std::lock_guard<std::mutex> lock(cache.mu);
-  cache.profiles.emplace(key, report);
-  return report;
+  cache.stats.probe_misses += count_peaks ? 1 : 0;
+  cache.stats.profile_misses += profile.report.has_value() ? 1 : 0;
+  cache.entries.emplace(key, profile);
+  return profile;
+}
+
+}  // namespace
+
+SessionProfile ProfileSession(const Model& model, const SessionConfig& config, bool memoize) {
+  return memoize ? LookUp(model, config, /*count_peaks=*/true) : Simulate(model, config);
+}
+
+RunReport ProfileTraining(const Model& model, const SessionConfig& config, bool memoize) {
+  const SessionProfile profile =
+      memoize ? LookUp(model, config, /*count_peaks=*/false) : Simulate(model, config);
+  HCHECK(profile.report.has_value())
+      << "cannot profile an infeasible configuration: a single task's working set exceeds "
+         "device memory";
+  return *profile.report;
 }
 
 TunerCacheStats GetTunerCacheStats() {
@@ -138,14 +141,11 @@ TunerCacheStats GetTunerCacheStats() {
 void ClearTunerCache() {
   TunerCache& cache = Cache();
   std::lock_guard<std::mutex> lock(cache.mu);
-  cache.probes.clear();
-  cache.profiles.clear();
+  cache.entries.clear();
   cache.stats = TunerCacheStats{};
 }
 
 TunerResult TunePp(const Model& model, const SessionConfig& base, const TunerOptions& options) {
-  const Bytes capacity = base.server.gpu.memory_bytes;
-
   // Phase 1: enumerate the whole candidate frontier up front (cheap), so profiling becomes
   // an index-addressed batch that can run in any order.
   struct Candidate {
@@ -177,18 +177,17 @@ TunerResult TunePp(const Model& model, const SessionConfig& base, const TunerOpt
     }
   }
 
-  // Phase 2: probe + profile every point across the pool. Each point is written back to its
-  // own slot, so the assembled vector matches the serial sweep order bit-for-bit.
+  // Phase 2: profile every point across the pool. Each point is written back to its own
+  // slot, so the assembled vector matches the serial sweep order bit-for-bit.
   ThreadPool pool(ResolveThreadCount(options.num_threads, candidates.size()));
   ParallelFor(pool, candidates.size(), [&](std::size_t i) {
     Candidate& candidate = candidates[i];
     TunerPoint& point = candidate.point;
-    const std::vector<Bytes> peaks =
-        CachedProbePeakWorkingSet(model, candidate.config, options.memoize);
-    point.peak_working_set = *std::max_element(peaks.begin(), peaks.end());
-    point.feasible = point.peak_working_set <= capacity;
+    const SessionProfile profile = ProfileSession(model, candidate.config, options.memoize);
+    point.peak_working_set = *std::max_element(profile.peaks.begin(), profile.peaks.end());
+    point.feasible = profile.report.has_value();
     if (point.feasible) {
-      const RunReport report = ProfileTraining(model, candidate.config, options.memoize);
+      const RunReport& report = *profile.report;
       point.iteration_time = report.steady_iteration_time();
       point.throughput = report.steady_throughput();
       point.swap_volume = report.steady_swap_total();

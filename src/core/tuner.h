@@ -11,13 +11,14 @@
 //      independent points profile concurrently on a ThreadPool. Results are assembled by
 //      sweep index, making the TunerResult bit-identical to the serial order for any
 //      `num_threads`.
-//   2. Memoization — probe and profile results are cached process-wide, keyed by the model
-//      and every SessionConfig field, so the tuner and the experiment benches never
-//      re-simulate a configuration they have already measured.
+//   2. Memoization — each configuration's peaks and report are cached process-wide in one
+//      entry, keyed by the model and every SessionConfig field, so the tuner and the
+//      experiment benches never re-simulate a configuration they have already measured.
 #ifndef HARMONY_SRC_CORE_TUNER_H_
 #define HARMONY_SRC_CORE_TUNER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,7 +52,7 @@ struct TunerOptions {
   // number of sweep points. The result is bit-identical across thread counts; see the
   // header comment.
   int num_threads = 0;
-  // Reuse process-wide cached probe/profile results for previously seen configurations.
+  // Reuse process-wide cached peaks and reports for previously seen configurations.
   // Tests that measure genuine re-execution turn this off.
   bool memoize = true;
 };
@@ -69,15 +70,22 @@ std::string RenderTunerTable(const TunerResult& result);
 
 // ---- memoized profiling primitives (shared by the tuner and the benches) -----------------
 
-// ProbePeakWorkingSet / RunTraining with a process-wide cache keyed by the full
-// (model, config) simulation fingerprint. Thread-safe. `memoize = false` bypasses the
-// cache (both lookup and insert). Memoized profiling is fatal on a config carrying a
-// checkpoint_store: a cache hit would skip the store's commits.
-std::vector<Bytes> CachedProbePeakWorkingSet(const Model& model, const SessionConfig& config,
-                                             bool memoize = true);
+struct SessionProfile {
+  std::vector<Bytes> peaks;         // per device
+  std::optional<RunReport> report;  // set iff the configuration fits
+};
+
+// Prepare-and-run with a process-wide cache keyed by the full (model, config) simulation
+// fingerprint, one entry per key; a miss prepares once and runs that session if it fits.
+// ProfileTraining is fatal on a configuration that does not fit. Thread-safe. `memoize =
+// false` bypasses the cache (both lookup and insert). Memoized profiling is fatal on a
+// config carrying a checkpoint_store: a cache hit would skip the store's commits.
+SessionProfile ProfileSession(const Model& model, const SessionConfig& config,
+                              bool memoize = true);
 RunReport ProfileTraining(const Model& model, const SessionConfig& config,
                           bool memoize = true);
 
+// probe_* count ProfileSession lookups; profile_* count lookups of a config that fits.
 struct TunerCacheStats {
   std::int64_t probe_hits = 0;
   std::int64_t probe_misses = 0;

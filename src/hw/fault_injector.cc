@@ -1,20 +1,10 @@
 #include "src/hw/fault_injector.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "src/util/check.h"
 
 namespace harmony {
-namespace {
-
-std::string FormatFixed(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", value);
-  return buffer;
-}
-
-}  // namespace
 
 FaultInjector::FaultInjector(Simulator* sim, TransferManager* transfers)
     : sim_(sim), transfers_(transfers), topology_(&transfers->topology()) {
@@ -30,41 +20,28 @@ void FaultInjector::Arm(const FaultPlan& plan) {
 }
 
 std::vector<LinkId> FaultInjector::TargetLinks(const FaultEvent& event) const {
-  std::vector<LinkId> links;
+  // A node-scoped network target hits every link incident to node i's NIC (nic<i>) or rack
+  // i's top-of-rack switch (rack<i>): the inter-node tier the event flaps or browns out. A
+  // GPU target hits the GPU's links. Host-uplink degradation and host-memory pressure both
+  // throttle the swap tier: every link with a host endpoint. They stay distinct fault kinds
+  // because they compose (and report) independently.
   const bool network_capable =
       event.kind == FaultKind::kFlowFlap || event.kind == FaultKind::kLinkBrownout;
-  const bool gpu_scoped = event.kind == FaultKind::kGpuLinkDegrade ||
-                          (network_capable && event.gpu >= 0 && event.nic < 0 &&
-                           event.rack < 0);
+  NodeId center = kInvalidNode;
   if (network_capable && (event.nic >= 0 || event.rack >= 0)) {
-    // Node-scoped network target: every link incident to node i's NIC (nic<i>) or rack i's
-    // top-of-rack switch (rack<i>) — the inter-node tier the event flaps or browns out.
-    const NodeId center = event.nic >= 0 ? topology_->nic_node(event.nic)
-                                         : topology_->tor_node(event.rack);
-    for (LinkId lid = 0; lid < topology_->num_links(); ++lid) {
-      const TopologyLink& link = topology_->link(lid);
-      if (link.src == center || link.dst == center) {
-        links.push_back(lid);
-      }
-    }
-  } else if (gpu_scoped) {
-    const NodeId gpu = topology_->gpu_node(event.gpu);
-    for (LinkId lid = 0; lid < topology_->num_links(); ++lid) {
-      const TopologyLink& link = topology_->link(lid);
-      if (link.src == gpu || link.dst == gpu) {
-        links.push_back(lid);
-      }
-    }
-  } else {
-    // Host-uplink degradation and host-memory pressure both throttle the swap tier: every
-    // link with a host endpoint. They stay distinct fault kinds because they compose (and
-    // report) independently.
-    for (LinkId lid = 0; lid < topology_->num_links(); ++lid) {
-      const TopologyLink& link = topology_->link(lid);
-      if (topology_->node(link.src).kind == NodeKind::kHost ||
-          topology_->node(link.dst).kind == NodeKind::kHost) {
-        links.push_back(lid);
-      }
+    center = event.nic >= 0 ? topology_->nic_node(event.nic) : topology_->tor_node(event.rack);
+  } else if (event.TargetsGpu()) {
+    center = topology_->gpu_node(event.gpu);
+  }
+  const auto is_host = [this](NodeId node) {
+    return topology_->node(node).kind == NodeKind::kHost;
+  };
+  std::vector<LinkId> links;
+  for (LinkId lid = 0; lid < topology_->num_links(); ++lid) {
+    const TopologyLink& link = topology_->link(lid);
+    if (center != kInvalidNode ? link.src == center || link.dst == center
+                               : is_host(link.src) || is_host(link.dst)) {
+      links.push_back(lid);
     }
   }
   return links;
@@ -76,35 +53,26 @@ void FaultInjector::ApplyEvent(const FaultEvent& event) {
       (event.nic >= 0 || event.rack >= 0);
   if (network_scoped) {
     if (event.nic >= topology_->num_nics()) {
-      Trace("drop@" + FormatFixed(sim_->now()) + " " + event.ToString() +
-            " (no such NIC on this machine)");
+      Trace("drop", event, " (no such NIC on this machine)");
       return;
     }
     if (event.rack >= topology_->num_racks()) {
-      Trace("drop@" + FormatFixed(sim_->now()) + " " + event.ToString() +
-            " (no such rack on this machine)");
+      Trace("drop", event, " (no such rack on this machine)");
       return;
     }
   }
-  const bool targets_gpu =
-      event.kind == FaultKind::kGpuFailStop || event.kind == FaultKind::kGpuLinkDegrade ||
-      event.kind == FaultKind::kGpuSlow ||
-      ((event.kind == FaultKind::kFlowFlap || event.kind == FaultKind::kLinkBrownout) &&
-       !network_scoped && event.gpu >= 0);
-  if (targets_gpu && (event.gpu < 0 || event.gpu >= topology_->num_gpus())) {
-    Trace("drop@" + FormatFixed(sim_->now()) + " " + event.ToString() +
-          " (no such GPU on this machine)");
+  if (event.TargetsGpu() && (event.gpu < 0 || event.gpu >= topology_->num_gpus())) {
+    Trace("drop", event, " (no such GPU on this machine)");
     return;
   }
 
   if (event.kind == FaultKind::kGpuFailStop) {
     const NodeId node = topology_->gpu_node(event.gpu);
     if (transfers_->NodeFailed(node)) {
-      Trace("drop@" + FormatFixed(sim_->now()) + " " + event.ToString() +
-            " (GPU already dead)");
+      Trace("drop", event, " (GPU already dead)");
       return;
     }
-    Trace("apply@" + FormatFixed(sim_->now()) + " " + event.ToString());
+    Trace("apply", event);
     transfers_->FailNode(node);
     ++fail_stops_applied_;
     if (device_fail_handler_) {
@@ -114,7 +82,7 @@ void FaultInjector::ApplyEvent(const FaultEvent& event) {
   }
 
   if (event.kind == FaultKind::kCkptCorrupt) {
-    Trace("apply@" + FormatFixed(sim_->now()) + " " + event.ToString());
+    Trace("apply", event);
     if (checkpoint_corrupt_handler_) {
       checkpoint_corrupt_handler_(sim_->now());
     }
@@ -123,13 +91,13 @@ void FaultInjector::ApplyEvent(const FaultEvent& event) {
 
   if (event.kind == FaultKind::kGpuSlow) {
     const std::int64_t fault_id = next_fault_id_++;
-    Trace("apply@" + FormatFixed(sim_->now()) + " " + event.ToString());
+    Trace("apply", event);
     gpu_compute_scales_[static_cast<std::size_t>(event.gpu)].push_back(
         {fault_id, event.scale});
     ReapplyGpu(event.gpu);
     if (event.duration > 0.0) {
       sim_->ScheduleAfter(event.duration, [this, fault_id, event] {
-        Trace("expire@" + FormatFixed(sim_->now()) + " " + event.ToString());
+        Trace("expire", event);
         auto& active = gpu_compute_scales_[static_cast<std::size_t>(event.gpu)];
         active.erase(std::remove_if(active.begin(), active.end(),
                                     [fault_id](const ActiveScale& s) {
@@ -145,14 +113,14 @@ void FaultInjector::ApplyEvent(const FaultEvent& event) {
   if (event.kind == FaultKind::kFlowFlap) {
     // Instantaneous: abort (or retry, when the TransferManager carries a retry policy)
     // every in-flight flow crossing the target's links. No multiplier, no expiry.
-    Trace("apply@" + FormatFixed(sim_->now()) + " " + event.ToString());
+    Trace("apply", event);
     transfers_->FlapLinkFlows(TargetLinks(event));
     return;
   }
 
   const std::vector<LinkId> links = TargetLinks(event);
   const std::int64_t fault_id = next_fault_id_++;
-  Trace("apply@" + FormatFixed(sim_->now()) + " " + event.ToString());
+  Trace("apply", event);
   PushScale(links, fault_id, event.scale);
   if (event.kind == FaultKind::kLinkBrownout) {
     // A brownout is a degradation whose onset also drops everything in flight: the links
@@ -161,7 +129,7 @@ void FaultInjector::ApplyEvent(const FaultEvent& event) {
   }
   if (event.duration > 0.0) {
     sim_->ScheduleAfter(event.duration, [this, links, fault_id, event] {
-      Trace("expire@" + FormatFixed(sim_->now()) + " " + event.ToString());
+      Trace("expire", event);
       PopScale(links, fault_id);
     });
   }
@@ -207,7 +175,9 @@ void FaultInjector::ReapplyGpu(int gpu) {
   }
 }
 
-void FaultInjector::Trace(const std::string& line) { trace_.push_back(line); }
+void FaultInjector::Trace(const char* verb, const FaultEvent& event, const char* note) {
+  trace_.push_back(verb + ("@" + FormatFixed(sim_->now())) + " " + event.ToString() + note);
+}
 
 std::string FaultInjector::TraceString() const {
   std::string out;

@@ -82,7 +82,7 @@ class FaultInjector {
   void ReapplyLink(LinkId link);
   // Same composition for per-GPU compute slowdowns; notifies the compute-scale handler.
   void ReapplyGpu(int gpu);
-  void Trace(const std::string& line);
+  void Trace(const char* verb, const FaultEvent& event, const char* note = "");
 
   Simulator* sim_;
   TransferManager* transfers_;

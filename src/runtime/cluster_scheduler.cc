@@ -372,9 +372,7 @@ Bytes JobHostFootprint(const Model& model, const JobSpec& job) {
   if (job.kind == JobKind::kTraining) {
     per_replica += model.total_grad_bytes() + model.total_opt_state_bytes();
   }
-  const bool data_parallel =
-      job.scheme == Scheme::kBaselineDp || job.scheme == Scheme::kHarmonyDp;
-  return per_replica * (data_parallel ? job.gpus : 1);
+  return per_replica * (IsDataParallel(job.scheme) ? job.gpus : 1);
 }
 
 // The inner-session configuration for one granted segment of `job`. Sub-node gangs run on

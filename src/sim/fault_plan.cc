@@ -12,14 +12,14 @@
 #include "src/util/spec.h"
 
 namespace harmony {
-namespace {
 
-// Fixed-precision time/scale rendering so traces are byte-stable across platforms.
 std::string FormatFixed(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.3f", value);
   return buffer;
 }
+
+namespace {
 
 // Permanent effects (duration == 0 internally) render as the literal "inf" so that the
 // grammar round-trips: a rendered plan re-parses to the identical plan, and a rendered

@@ -47,7 +47,17 @@ struct FaultEvent {
 
   // One-line rendering, e.g. "fail@1.500:gpu2" — stable across runs (trace identity).
   std::string ToString() const;
+  // Aimed at `gpu`: the GPU kinds, and a flow flap or brownout with a gpu<i> target.
+  bool TargetsGpu() const {
+    return kind == FaultKind::kGpuFailStop || kind == FaultKind::kGpuLinkDegrade ||
+           kind == FaultKind::kGpuSlow ||
+           ((kind == FaultKind::kFlowFlap || kind == FaultKind::kLinkBrownout) && gpu >= 0 &&
+            nic < 0 && rack < 0);
+  }
 };
+
+// Fixed-precision (%.3f) time/scale rendering, so fault plans and traces are byte-stable.
+std::string FormatFixed(double value);
 
 // Time-ordered fault schedule. Events inserted out of order are kept sorted (stable on
 // insertion order for equal times).

@@ -612,6 +612,55 @@ TEST(FaultElasticTest, DpShrinkThatBreaksTheMinibatchIsATypedError) {
   EXPECT_NE(result.status.message().find("does not divide"), std::string::npos);
 }
 
+// Baseline-PP gives each GPU one stage of whole layers: 8 layers are 2 per stage on 4 GPUs
+// and up to 3 on the 3 survivors of a fail-stop. At the 4-GPU minimal capacity the
+// concentrated stage no longer fits, and the rebind reports that instead of running.
+TEST(FaultElasticTest, InfeasibleSurvivorConfigurationIsATypedError) {
+  const Model model = FaultModel();
+  SessionConfig config = FaultConfig(4, 4);
+  config.scheme = Scheme::kBaselinePp;
+  test_models::FitMinimalCapacity(model, &config);
+  config.faults.Add(FaultEvent{0.05, FaultKind::kGpuFailStop, 1, 1.0, 0.0});
+  const ElasticResult result = RunTrainingElastic(model, config);
+  EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status.message().find("surviving configuration on 3 GPUs is infeasible: "
+                                         "infeasible configuration: a single task's working "
+                                         "set ("),
+            std::string::npos)
+      << result.status.ToString();
+  ASSERT_EQ(result.segments.size(), 1u);
+  EXPECT_EQ(result.segments[0].result.report.failure_kind, "gpu-fail-stop");
+  EXPECT_EQ(result.stats.failures, 1);
+}
+
+// The first segment is validated like every rebind: a configuration ValidateSessionConfig
+// rejects comes back as that same status, with no segment run.
+TEST(FaultElasticTest, InvalidConfigurationRunsNoSegment) {
+  const Model model = FaultModel();
+  SessionConfig config = FaultConfig(4, 4);
+  config.faults.Add(FaultEvent{0.05, FaultKind::kGpuFailStop, 7, 1.0, 0.0});
+  const Status expected = ValidateSessionConfig(model, config);
+  ASSERT_FALSE(expected.ok());
+  const ElasticResult result = RunTrainingElastic(model, config);
+  EXPECT_EQ(result.status.ToString(), expected.ToString());
+  EXPECT_TRUE(result.segments.empty());
+}
+
+// Survivors are tracked over one node's GPUs: a GPU fault on node 1 of a two-node cluster is
+// a typed error before any segment runs, not an out-of-range rebind.
+TEST(FaultElasticTest, GpuFaultOnAnotherNodeIsATypedError) {
+  const Model model = FaultModel();
+  SessionConfig config = FaultConfig(2, 4);
+  config.num_nodes = 2;
+  config.faults.Add(FaultEvent{0.05, FaultKind::kGpuFailStop, 3, 1.0, 0.0});
+  ASSERT_TRUE(ValidateSessionConfig(model, config).ok());
+  const ElasticResult result = RunTrainingElastic(model, config);
+  EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status.message().find("targets node 1"), std::string::npos)
+      << result.status.ToString();
+  EXPECT_TRUE(result.segments.empty());
+}
+
 TEST(FaultElasticTest, RecoveryIsDeterministicAcrossRuns) {
   const Model model = FaultModel();
   SessionConfig config = FaultConfig(4, 4);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 
 #include "src/baseline/baseline_dp.h"
 #include "src/baseline/baseline_pp.h"
@@ -11,6 +12,7 @@
 #include "src/core/session.h"
 #include "src/graph/model_zoo.h"
 #include "src/runtime/demand.h"
+#include "src/runtime/report_io.h"
 
 namespace harmony {
 namespace {
@@ -471,12 +473,43 @@ TEST(SessionTest, DefaultPoliciesMatchSchemes) {
   EXPECT_FALSE(DefaultPolicyFor(Scheme::kHarmonyPp, false).allow_p2p);
 }
 
-TEST(SessionTest, ProbeMatchesRunPeaks) {
+TEST(SessionTest, PreparedPeaksMatchRunPeaks) {
   const Model model = AnalyticModel();
   const SessionConfig config = AnalyticConfig(Scheme::kHarmonyPp, 2, 2);
-  const auto probed = ProbePeakWorkingSet(model, config);
+  const StatusOr<PreparedSession> session = PrepareSession(model, config);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   const SessionResult result = RunTraining(model, config);
-  EXPECT_EQ(probed, result.peak_task_working_set);
+  EXPECT_EQ(session.value().peak_task_working_set, result.peak_task_working_set);
+}
+
+// An infeasible configuration still prepares, so its peaks can be read; its fit is the
+// error validation returns.
+TEST(SessionTest, InfeasibleSessionPreparesWithItsPeaks) {
+  const Model model = AnalyticModel();
+  SessionConfig config = AnalyticConfig(Scheme::kHarmonyPp, 2, 2);
+  config.server.gpu.memory_bytes = 4 * kMiB;
+  const StatusOr<PreparedSession> session = PrepareSession(model, config);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(session.value().peak_task_working_set.size(), 2u);
+  const Status fit = session.value().Fit();
+  EXPECT_NE(fit.message().find("infeasible configuration"), std::string::npos);
+  EXPECT_EQ(fit.ToString(), ValidateSessionConfig(model, config).ToString());
+}
+
+// Running a prepared session is RunTraining, for every scheme.
+TEST(SessionTest, PreparedRunMatchesRunTrainingForEveryScheme) {
+  const Model model = AnalyticModel();
+  for (Scheme scheme : {Scheme::kBaselineDp, Scheme::kBaselinePp, Scheme::kHarmonyDp,
+                        Scheme::kHarmonyPp, Scheme::kHarmonyTp, Scheme::kServing}) {
+    SCOPED_TRACE(SchemeName(scheme));
+    const SessionConfig config = AnalyticConfig(scheme, 4, 2);
+    StatusOr<PreparedSession> session = PrepareSession(model, config);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_TRUE(session.value().Fit().ok()) << session.value().Fit().ToString();
+    const SessionResult prepared = RunPreparedSession(std::move(session).value());
+    const SessionResult direct = RunTraining(model, config);
+    EXPECT_EQ(ReportToJson(prepared.report), ReportToJson(direct.report));
+  }
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ struct NamedConfig {
 // Tight-but-feasible capacity: the largest single-task working set plus a small margin,
 // so every regime churns memory hard without tripping the feasibility lint.
 void FitCapacity(const Model& model, SessionConfig* config) {
-  const std::vector<Bytes> peaks = ProbePeakWorkingSet(model, *config);
+  const std::vector<Bytes> peaks = PrepareSession(model, *config).value().peak_task_working_set;
   const Bytes peak = *std::max_element(peaks.begin(), peaks.end());
   config->server.gpu = TestGpu(peak + peak / 8 + 2 * kMiB, TFlops(1.0));
 }

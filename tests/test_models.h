@@ -99,7 +99,7 @@ inline SessionConfig RandomChurnSession(Rng& rng, int num_layers) {
 // Shrinks the per-GPU memory to the largest single-task working set plus a sliver — the
 // harshest legal regime, where every task must evict almost everything else.
 inline void FitMinimalCapacity(const Model& model, SessionConfig* config) {
-  const std::vector<Bytes> peaks = ProbePeakWorkingSet(model, *config);
+  const std::vector<Bytes> peaks = PrepareSession(model, *config).value().peak_task_working_set;
   const Bytes peak = *std::max_element(peaks.begin(), peaks.end());
   config->server.gpu = TestGpu(peak + peak / 16 + 1 * kMiB, TFlops(1.0));
 }

@@ -146,7 +146,7 @@ TEST(HarmonyTpTest, FeasibleWhereLayerGranularitySchemesAreNot) {
     config.server.gpu = TestGpu(capacity, TFlops(1.0));
     config.scheme = scheme;
     config.microbatches = 2;
-    const auto peaks = ProbePeakWorkingSet(model, config);
+    const std::vector<Bytes> peaks = PrepareSession(model, config).value().peak_task_working_set;
     return *std::max_element(peaks.begin(), peaks.end());
   };
   EXPECT_GT(peak_for(Scheme::kHarmonyPp), capacity);

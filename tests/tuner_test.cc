@@ -312,6 +312,18 @@ TEST(TunerTest, CachedProfileMatchesDirectRunBitwise) {
   ClearTunerCache();
 }
 
+// SessionConfig's size stands in for its field count, since structured bindings cannot
+// count fields through the PlanOptions base. Pinned where the layout is known: libstdc++
+// on x86-64.
+#if defined(__GLIBCXX__) && defined(__x86_64__) && !defined(_GLIBCXX_DEBUG)
+TEST(TunerTest, SessionConfigSizeIsPinnedToTheKeyedFields) {
+  EXPECT_EQ(sizeof(SessionConfig), std::size_t{432})
+      << "SessionConfig changed shape: key every new field in SimulationKey (core/tuner.cc) "
+         "and give it a row in TunerTest.CachedProfileMatchesDirectRunBitwise, then update "
+         "this size";
+}
+#endif
+
 TEST(TunerDeathTest, MemoizedProfileRefusesCheckpointStore) {
   const Model model = TinyUniformModel();
   SessionConfig config = TinyBase();

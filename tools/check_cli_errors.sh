@@ -108,16 +108,32 @@ for args in "--jobs=train@0" "--quota=t0:bw=0.5" "--arrivals=poisson:seed=1,rate
   fi
 done
 
-# Network-scoped fault targets are validated against the cluster shape before the run:
-# nic5 on a 2-node fleet is a typed validation error (exit 1, not a crash).
-err=$("$sim" --nodes=2 --scheme=harmony-dp --microbatches=2 --faults='flow_flap@1:nic5' 2>&1 >/dev/null)
-code=$?
-if [[ $code -ne 1 || "$err" != *"targets nic5"* ]]; then
-  echo "FAIL out-of-range nic fault target : exit $code, stderr: $err" >&2
-  failures=$((failures + 1))
-else
-  echo "ok   --nodes=2 --faults=flow_flap@1:nic5 -> exit 1 (validation)"
-fi
+# expect_invalid <expected-substring> <flag...>: a well-formed but invalid configuration
+# must exit 1 with one error line and nothing on stdout (a validation error, not a crash).
+expect_invalid() {
+  local expected=$1
+  shift
+  local out
+  out=$("$sim" "$@" 2>&1)
+  local code=$?
+  if [[ $code -ne 1 || "$out" != *"$expected"* || "$out" == *$'\n'* ]]; then
+    echo "FAIL $* : exit $code, want 1 and one '$expected' line: $out" >&2
+    failures=$((failures + 1))
+  else
+    echo "ok   $* -> exit 1 ($expected)"
+  fi
+}
+
+# Network-scoped fault targets are validated against the cluster shape before the run.
+expect_invalid "targets nic5" --nodes=2 --scheme=harmony-dp --microbatches=2 --faults='flow_flap@1:nic5'
+# Elastic recovery rebinds within one node: a fail-stop on another node is a typed error.
+expect_invalid "elastic recovery rebinds within one node" --nodes=2 --gpus=2 --faults='fail@0.5:gpu3'
+# An infeasible configuration (one task's working set exceeds a GPU) is a validation error
+# in a plain run, in --lint and in an elastic --faults run.
+infeasible=(--gpu_memory_gib=0.5 --model=gpt2-xl --pack_size=8 --microbatch_size=16 --iterations=1)
+expect_invalid "infeasible configuration" "${infeasible[@]}"
+expect_invalid "infeasible configuration" "${infeasible[@]}" --lint
+expect_invalid "infeasible configuration" "${infeasible[@]}" --faults=fail@1:gpu0
 
 # Unknown flags are rejected up front with the full usage text.
 err=$("$sim" --no_such_flag=1 2>&1 >/dev/null)

@@ -186,16 +186,15 @@ int Run(int argc, char** argv) {
   if (!flags.Get("cluster").empty()) {
     // --cluster is the one-flag spelling of the fleet shape; it wins over the individual
     // topology flags so scripted sweeps can override a baseline command line wholesale.
-    const StatusOr<ClusterSpec> cluster = ParseClusterSpec(flags.Get("cluster"));
-    if (!cluster.ok()) {
-      std::cerr << cluster.status().ToString() << "\n(run with --help for flag usage)\n";
+    ClusterSpec cluster;
+    if (!AssignFlag(ParseClusterSpec(flags.Get("cluster")), &cluster)) {
       return 2;
     }
-    config.num_nodes = cluster.value().nodes;
-    config.nodes_per_rack = cluster.value().nodes_per_rack;
-    config.server.num_gpus = cluster.value().gpus_per_node;
-    config.nic_link = NicLinkSpec(cluster.value().nic_gbps);
-    config.rack_link = RackLinkSpec(cluster.value().rack_gbps);
+    config.num_nodes = cluster.nodes;
+    config.nodes_per_rack = cluster.nodes_per_rack;
+    config.server.num_gpus = cluster.gpus_per_node;
+    config.nic_link = NicLinkSpec(cluster.nic_gbps);
+    config.rack_link = RackLinkSpec(cluster.rack_gbps);
   }
   bool tune = false, timeline = false, explain = false, lint = false;
   if (!AssignFlag(flags.GetCheckedBool("recompute"), &config.recompute) ||
@@ -213,9 +212,8 @@ int Run(int argc, char** argv) {
   if (!flags.Get("sched").empty()) {
     // Scheduler mode: run a multi-tenant job stream over the cluster instead of one
     // session. The single-run modes and outputs (chrome trace, CSV) are unavailable.
-    const StatusOr<SchedPolicy> policy = SchedPolicyByName(flags.Get("sched"));
-    if (!policy.ok()) {
-      std::cerr << policy.status().ToString() << "\n(run with --help for flag usage)\n";
+    ClusterSchedulerConfig sched;
+    if (!AssignFlag(SchedPolicyByName(flags.Get("sched")), &sched.policy)) {
       return 2;
     }
     if (tune || lint || timeline || !flags.Get("faults").empty() ||
@@ -224,40 +222,22 @@ int Run(int argc, char** argv) {
                    "--csv, or --trace\n(run with --help for flag usage)\n";
       return 2;
     }
-    ClusterSchedulerConfig sched;
     sched.server = config.server;
     sched.num_nodes = config.num_nodes;
     sched.nodes_per_rack = config.nodes_per_rack;
     sched.nic_link = config.nic_link;
     sched.rack_link = config.rack_link;
-    sched.policy = policy.value();
-    if (!flags.Get("quota").empty()) {
-      const StatusOr<QuotaMap> quotas = ParseQuotaSpec(flags.Get("quota"));
-      if (!quotas.ok()) {
-        std::cerr << quotas.status().ToString() << "\n(run with --help for flag usage)\n";
-        return 2;
-      }
-      sched.quotas = quotas.value();
+    std::vector<JobSpec> jobs, generated;
+    if ((!flags.Get("quota").empty() &&
+         !AssignFlag(ParseQuotaSpec(flags.Get("quota")), &sched.quotas)) ||
+        (!flags.Get("jobs").empty() && !AssignFlag(ParseJobsSpec(flags.Get("jobs")), &jobs)) ||
+        (!flags.Get("arrivals").empty() &&
+         !AssignFlag(GenerateTrace(flags.Get("arrivals"), sched.server.num_gpus,
+                                   sched.num_nodes, flags.Get("model")),
+                     &generated))) {
+      return 2;
     }
-    std::vector<JobSpec> jobs;
-    if (!flags.Get("jobs").empty()) {
-      const StatusOr<std::vector<JobSpec>> parsed_jobs = ParseJobsSpec(flags.Get("jobs"));
-      if (!parsed_jobs.ok()) {
-        std::cerr << parsed_jobs.status().ToString()
-                  << "\n(run with --help for flag usage)\n";
-        return 2;
-      }
-      jobs = parsed_jobs.value();
-    }
-    if (!flags.Get("arrivals").empty()) {
-      const StatusOr<std::vector<JobSpec>> generated = GenerateTrace(
-          flags.Get("arrivals"), sched.server.num_gpus, sched.num_nodes, flags.Get("model"));
-      if (!generated.ok()) {
-        std::cerr << generated.status().ToString() << "\n(run with --help for flag usage)\n";
-        return 2;
-      }
-      jobs.insert(jobs.end(), generated.value().begin(), generated.value().end());
-    }
+    jobs.insert(jobs.end(), generated.begin(), generated.end());
     if (jobs.empty()) {
       std::cerr << "--sched needs a workload: pass --jobs and/or --arrivals\n(run with "
                    "--help for flag usage)\n";
@@ -324,43 +304,16 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  // Surface bad configurations as messages + non-zero exit instead of HCHECK aborts.
-  const Status valid = ValidateSessionConfig(model.value(), config);
-  if (!valid.ok()) {
-    std::cerr << valid.ToString() << "\n";
-    return 1;
-  }
-
-  if (lint) {
-    // Lint mode: build the plan, run the full static analysis (deep checks included), and
-    // report instead of executing. --json switches the output file to the lint report.
-    Machine machine = MakeSessionMachine(config);
-    TensorRegistry registry;
-    const Plan plan = BuildPlanForConfig(model.value(), machine, &registry, config);
-    LintOptions options;
-    options.deep = true;
-    for (const GpuSpec& gpu : machine.gpus) {
-      options.device_capacities.push_back(gpu.memory_bytes);
-    }
-    const LintReport report = LintPlan(plan, registry, options);
-    std::cout << report.Render();
-    if (!flags.Get("json").empty()) {
-      std::ofstream file(flags.Get("json"), std::ios::trunc);
-      if (!file) {
-        std::cerr << "cannot open lint report file " << flags.Get("json") << "\n";
-        return 1;
-      }
-      file << report.ToJson() << "\n";
-      std::cout << "wrote lint report to " << flags.Get("json") << "\n";
-    }
-    return report.num_errors() > 0 ? 1 : 0;
-  }
-
-  if (!config.faults.empty()) {
+  if (!config.faults.empty() && !lint) {
     // Elastic mode: run with fault injection and recover onto survivors after fail-stops.
+    // Validation happens inside, on each segment's prepared session.
+    const ElasticResult elastic = RunTrainingElastic(model.value(), config);
+    if (elastic.segments.empty()) {
+      std::cerr << elastic.status.ToString() << "\n";
+      return 1;
+    }
     std::cout << model.value().Summary() << "\n";
     std::cout << "fault plan: " << config.faults.ToString() << "\n\n";
-    const ElasticResult elastic = RunTrainingElastic(model.value(), config);
     for (std::size_t i = 0; i < elastic.segments.size(); ++i) {
       const RecoverySegment& seg = elastic.segments[i];
       std::printf("segment %zu: %d gpu(s), iterations [%d, %d), completed %zu, makespan "
@@ -409,8 +362,36 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
+  // Surface bad configurations as messages + non-zero exit instead of HCHECK aborts.
+  StatusOr<PreparedSession> session = PrepareSession(model.value(), config);
+  const Status valid = session.ok() ? session.value().Fit() : session.status();
+  if (!valid.ok()) {
+    std::cerr << valid.ToString() << "\n";
+    return 1;
+  }
+
+  if (lint) {
+    // Lint mode: run the full static analysis (deep checks included) on the prepared plan
+    // and report instead of executing. --json switches the output file to the lint report.
+    LintOptions options;
+    options.deep = true;
+    options.device_capacities = session.value().capacities;
+    const LintReport report = LintPlan(session.value().plan, session.value().registry, options);
+    std::cout << report.Render();
+    if (!flags.Get("json").empty()) {
+      std::ofstream file(flags.Get("json"), std::ios::trunc);
+      if (!file) {
+        std::cerr << "cannot open lint report file " << flags.Get("json") << "\n";
+        return 1;
+      }
+      file << report.ToJson() << "\n";
+      std::cout << "wrote lint report to " << flags.Get("json") << "\n";
+    }
+    return report.num_errors() > 0 ? 1 : 0;
+  }
+
   std::cout << model.value().Summary() << "\n";
-  const SessionResult result = RunTraining(model.value(), config);
+  const SessionResult result = RunPreparedSession(std::move(session).value());
   std::cout << result.plan.Stats() << "\n\n";
   std::cout << result.report.Summary() << "\n\n";
 
