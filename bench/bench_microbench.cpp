@@ -27,7 +27,6 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
     Simulator sim;
     const int n = static_cast<int>(state.range(0));
-    sim.Reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       sim.ScheduleAfter(static_cast<double>(i % 97), [] {});
     }
@@ -174,9 +173,9 @@ class EvictionChurnHarness {
     WorkingSet set;
     set.fetch = {ids_[next_]};
     next_ = (next_ + 1) % ids_.size();
-    auto acq = system_->manager(0).Acquire(std::move(set));
+    const MemoryManager::AcquireHandle handle = system_->manager(0).Acquire(std::move(set));
     sim_.RunUntilIdle();
-    system_->manager(0).Release(acq.handle);
+    system_->manager(0).Release(handle);
     sim_.RunUntilIdle();
   }
 

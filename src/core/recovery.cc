@@ -73,20 +73,24 @@ FaultPlan ShiftFaultPlan(const FaultPlan& plan, double offset, const std::vector
 
 ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config) {
   ElasticResult result;
-  const int total_gpus = config.server.num_gpus;
+  const int total_gpus = config.total_gpus();
+  const bool multi_node = config.num_nodes > 1;
   const bool data_parallel = IsDataParallel(config.scheme);
   // DP configs give microbatches per GPU; the minibatch (hence SGD semantics) must survive
   // the shrink, so carry the total and re-divide per segment.
   const int total_microbatches =
       data_parallel ? config.microbatches * total_gpus : config.microbatches;
 
-  // Survivors are tracked over one server's GPUs, so a GPU fault on another node of a
-  // cluster has no survivor slot to rebind from.
+  // A cluster is rebound node by node, each a copy of config.server, so it cannot drop a
+  // single GPU: a fail-stop anywhere on a multi-node session has no survivor configuration.
   for (const FaultEvent& event : config.faults.events()) {
-    if (event.TargetsGpu() && event.gpu >= total_gpus && event.gpu < config.total_gpus()) {
+    if (multi_node && event.kind == FaultKind::kGpuFailStop && event.gpu >= 0 &&
+        event.gpu < total_gpus) {
       result.status = FailedPreconditionError(
           "fault event '" + event.ToString() + "' targets node " +
-          std::to_string(event.gpu / total_gpus) + "; elastic recovery rebinds within one node");
+          std::to_string(event.gpu / config.server.num_gpus) + " of " +
+          std::to_string(config.num_nodes) +
+          "; elastic recovery rebinds within one node");
       return result;
     }
   }
@@ -121,7 +125,9 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
     segment.iterations = config.iterations - next_iteration;
     segment.gpus = alive;
     segment.config = config;
-    segment.config.server.num_gpus = static_cast<int>(alive.size());
+    if (!multi_node) {
+      segment.config.server.num_gpus = static_cast<int>(alive.size());
+    }
     segment.config.iterations = segment.iterations;
     segment.config.straggler_threshold = straggler_threshold;
     // Segment-local commits land in the shared ring as global (iteration, time) pairs.
@@ -184,7 +190,7 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
       next_iteration += segment_completed;
       offset += makespan;
       const bool can_exclude =
-          failed_local >= 0 && alive.size() > 1 &&
+          !multi_node && failed_local >= 0 && alive.size() > 1 &&
           (!data_parallel ||
            total_microbatches % static_cast<int>(alive.size() - 1) == 0);
       if (can_exclude) {

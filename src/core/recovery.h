@@ -60,7 +60,8 @@ struct RecoveryStats {
 struct ElasticResult {
   // Ok when training completed on some surviving set; an error (with the partial segments
   // kept) when the configuration is invalid or recovery is impossible: every GPU dead, a DP
-  // shrink that cannot preserve the minibatch, an infeasible survivor, or a watchdog stall.
+  // shrink that cannot preserve the minibatch, an infeasible survivor, a fail-stop on a
+  // multi-node session, or a watchdog stall.
   Status status;
   std::vector<RecoverySegment> segments;
   RecoveryStats stats;
@@ -77,6 +78,8 @@ struct ElasticResult {
 
 // Runs training under `config`, recovering from injected GPU fail-stops by rebinding onto
 // the survivors. With no faults armed this degenerates to exactly one RunTraining call.
+// Only a single-node session rebinds onto fewer GPUs: a multi-node session rejects any GPU
+// fail-stop before segment 0 and finishes a straggler degraded on the full machine.
 // Each segment validates and runs one prepared session: a configuration that fails
 // validation surfaces in `status` (unwrapped, with no segments, for the first).
 ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config);

@@ -246,18 +246,6 @@ SessionResult RunPreparedSession(PreparedSession session) {
   // Tenant bandwidth reservation (DESIGN.md §13): applied before any flow exists, so a
   // full share (the default 1.0) keeps the historical event sequence bit-for-bit.
   transfers.ApplyUplinkBandwidthQuota(config.uplink_bw_fraction);
-  // Pre-size the event arena from the plan's actual shape: each task contributes a handful
-  // of control events plus one transfer (join + completion wakeup) per working-set entry it
-  // fetches or writes back. This over-counts the *peak outstanding* events — most complete
-  // long before the run ends — so cap the hint; the arena still grows on demand if a
-  // schedule ever exceeds it.
-  std::size_t transfer_entries = 0;
-  for (const Task& task : plan.tasks) {
-    transfer_entries += task.working_set.fetch.size() + task.working_set.accumulate.size() +
-                        task.working_set.allocate.size() + task.free_after.size();
-  }
-  sim.Reserve(std::min<std::size_t>(plan.tasks.size() * 8 + transfer_entries * 2 + 1024,
-                                    std::size_t{1} << 18));
 
   MemoryPolicy policy =
       config.policy.has_value() ? *config.policy : DefaultPolicyFor(config.scheme, config.p2p);
@@ -268,7 +256,7 @@ SessionResult RunPreparedSession(PreparedSession session) {
   // Static lint (cheap tier) before anything executes: catches structural corruption,
   // pin-balance leaks, collective rank mismatches, and rendezvous deadlocks that would
   // otherwise surface as hangs or quiescence failures mid-run. Silent when clean.
-  if (config.lint_plan) {
+  {
     LintOptions lint_options;
     lint_options.deep = false;
     lint_options.device_capacities = capacities;

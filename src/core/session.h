@@ -76,12 +76,6 @@ struct SessionConfig : PlanOptions {
   bool prefetch = true;
   bool record_timeline = false;
 
-  // Run the cheap tier of the static plan linter (runtime/plan_lint.h) on the built plan
-  // before execution; fatal on errors. O(tasks + edges), silent when the plan is clean.
-  // Opt out for plans that are deliberately broken (fault-injection experiments that
-  // truncate schedules, linter self-tests).
-  bool lint_plan = true;
-
   // ---- fault tolerance (defaults keep the failure-free path byte-identical) ----
   FaultPlan faults;               // injected hardware anomalies; empty = none
   int checkpoint_every = 0;       // host-checkpoint weights every k iterations (0 = never)

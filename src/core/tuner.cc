@@ -49,8 +49,7 @@ std::string SimulationKey(const Model& model, const SessionConfig& config) {
   AppendLinkSpec(os, config.rack_link);
   os << "|run:" << static_cast<int>(config.scheme) << ',' << config.p2p << ','
      << config.lookahead_eviction << ',' << config.audit_eviction << ',' << config.prefetch
-     << ',' << config.record_timeline << ',' << config.lint_plan << ','
-     << config.uplink_bw_fraction;
+     << ',' << config.record_timeline << ',' << config.uplink_bw_fraction;
   // FaultPlan::ToString rounds times and scales to milliseconds, so key the exact fields.
   os << "|faults:";
   for (const FaultEvent& event : config.faults.events()) {

@@ -49,7 +49,7 @@ MemoryManager::MemoryManager(MemorySystem* system, int device_index, NodeId devi
       host_node_(host_node),
       allocator_(capacity) {}
 
-MemoryManager::Acquisition MemoryManager::Acquire(WorkingSet set, bool best_effort) {
+MemoryManager::AcquireHandle MemoryManager::Acquire(WorkingSet set, bool best_effort) {
   TensorRegistry& reg = system_->registry();
   auto pin_all = [&](const std::vector<TensorId>& ids) {
     for (TensorId id : ids) {
@@ -65,13 +65,35 @@ MemoryManager::Acquisition MemoryManager::Acquire(WorkingSet set, bool best_effo
 
   Pending pending;
   pending.handle = next_handle_++;
-  pending.ready = system_->NewEvent();
   pending.set = std::move(set);
   pending.best_effort = best_effort;
-  const Acquisition result{pending.handle, pending.ready};
+  const AcquireHandle handle = pending.handle;
   pending_.push_back(std::move(pending));
   system_->SchedulePump(device_index_);
-  return result;
+  return handle;
+}
+
+void MemoryManager::WhenReady(AcquireHandle handle, Simulator::Closure fn) {
+  HCHECK(fn) << "empty WhenReady continuation";
+  // pending_ is queued in handle order: Acquire appends, grants and cancels pop the front.
+  const auto pending =
+      std::lower_bound(pending_.begin(), pending_.end(), handle,
+                       [](const Pending& p, AcquireHandle h) { return p.handle < h; });
+  if (pending != pending_.end() && pending->handle == handle) {
+    HCHECK(!pending->on_ready) << "second WhenReady on acquisition " << handle;
+    pending->on_ready = std::move(fn);
+    return;
+  }
+  bool* waited = nullptr;
+  if (auto held = held_.find(handle); held != held_.end()) {
+    waited = &held->second.waited;
+  } else if (auto cancelled = cancelled_.find(handle); cancelled != cancelled_.end()) {
+    waited = &cancelled->second;
+  }
+  HCHECK(waited != nullptr) << "WhenReady on unknown or released acquisition " << handle;
+  HCHECK(!*waited) << "second WhenReady on acquisition " << handle;
+  *waited = true;
+  system_->sim().ScheduleAfter(0.0, std::move(fn));
 }
 
 void MemoryManager::Release(AcquireHandle handle) {
@@ -229,10 +251,13 @@ bool MemoryManager::PumpHead() {
   Held held;
   held.set = std::move(head.set);
   held.scratch_offset = head.scratch_allocated ? head.scratch_offset : -1;
-  OneShotEvent* ready = head.ready;
+  held.waited = static_cast<bool>(head.on_ready);
+  Simulator::Closure on_ready = std::move(head.on_ready);
   held_.emplace(head.handle, std::move(held));
   pending_.pop_front();
-  ready->Fire();
+  if (on_ready) {
+    system_->sim().ScheduleAfter(0.0, std::move(on_ready));
+  }
   return true;
 }
 
@@ -335,8 +360,10 @@ void MemoryManager::CancelHead() {
   if (head.scratch_allocated) {
     allocator_.Free(head.scratch_offset, head.set.scratch_bytes);
   }
-  cancelled_.insert(head.handle);
-  head.ready->Fire();
+  cancelled_.emplace(head.handle, static_cast<bool>(head.on_ready));
+  if (head.on_ready) {
+    system_->sim().ScheduleAfter(0.0, std::move(head.on_ready));
+  }
 }
 
 Bytes MemoryManager::AllocateWithEviction(Bytes bytes, const char* what) {
@@ -1106,11 +1133,6 @@ Status MemorySystem::CheckQuiescent() const {
     }
   }
   return Status::Ok();
-}
-
-OneShotEvent* MemorySystem::NewEvent() {
-  events_.push_back(std::make_unique<OneShotEvent>(sim_));
-  return events_.back().get();
 }
 
 Bytes MemorySystem::TotalSwapIn() const {

@@ -3,8 +3,8 @@
 // MemorySystem owns one MemoryManager per GPU plus the shared tensor registry. The execution
 // engine asks a device to Acquire a task's working set (inputs to fetch, accumulators to
 // fetch-or-init, outputs to allocate, transient scratch); the manager pins the set, evicts
-// LRU victims under pressure, and issues DMA flows through the TransferManager. The returned
-// event fires when the whole set is resident.
+// LRU victims under pressure, and issues DMA flows through the TransferManager. A
+// continuation registered with WhenReady runs once the whole set is resident.
 //
 // Two policy bits differentiate the paper's schemes:
 //   - write_back_clean: evicting an unmodified tensor still copies it to host (IBM-LMS-style
@@ -138,16 +138,19 @@ class MemoryManager {
 
   using AcquireHandle = std::int64_t;
 
-  struct Acquisition {
-    AcquireHandle handle;
-    OneShotEvent* ready;  // owned by the manager; fires when the set is resident+pinned
-  };
-
   // Queues a working-set acquisition. Requests are granted FIFO per device. A best-effort
   // request (used for prefetch / double buffering) is *cancelled* instead of waiting when it
-  // can make no progress without evicting pinned tensors: its pins are dropped, `ready`
-  // fires, and WasCancelled(handle) returns true. Transfers already in flight still land.
-  Acquisition Acquire(WorkingSet set, bool best_effort = false);
+  // can make no progress without evicting pinned tensors: its pins are dropped, its
+  // continuation runs, and WasCancelled(handle) returns true. Transfers already in flight
+  // still land.
+  AcquireHandle Acquire(WorkingSet set, bool best_effort = false);
+
+  // Registers the continuation of request `handle`. It runs as a fresh simulator event once
+  // the set is resident and pinned, or once the best-effort request is cancelled: at that
+  // moment while the request is still pending, else at the current time. The request keeps
+  // the closure only until then. Fatal on a second call for one handle, or on a released
+  // or unknown handle.
+  void WhenReady(AcquireHandle handle, Simulator::Closure fn);
 
   // True when `handle` belonged to a best-effort request that was cancelled. Release() on a
   // cancelled handle is a no-op.
@@ -181,7 +184,7 @@ class MemoryManager {
   struct Pending {
     AcquireHandle handle;
     WorkingSet set;
-    OneShotEvent* ready;
+    Simulator::Closure on_ready;  // the WhenReady continuation, if registered yet
     std::set<TensorId> issued;  // bring-actions already in flight for this request
     bool scratch_allocated = false;
     Bytes scratch_offset = -1;
@@ -197,6 +200,7 @@ class MemoryManager {
   struct Held {
     WorkingSet set;
     Bytes scratch_offset = -1;
+    bool waited = false;  // WhenReady was called
   };
 
   // Tries to make progress on the head pending request; returns true if it was granted.
@@ -210,7 +214,7 @@ class MemoryManager {
   // blocked behind an in-flight eviction, or -2 when stuck (everything evictable is gone
   // and nothing is in flight). Fatal only when `bytes` exceeds raw device capacity.
   Bytes AllocateWithEviction(Bytes bytes, const char* what);
-  // Drops a best-effort head request: unpins, marks cancelled, fires ready.
+  // Drops a best-effort head request: unpins, marks cancelled, runs its continuation.
   void CancelHead();
   // Compacts all live allocations to low offsets (simulating a virtual-memory remap),
   // leaving one contiguous free block. Updates every stored offset.
@@ -288,7 +292,7 @@ class MemoryManager {
 
   std::deque<Pending> pending_;
   std::map<AcquireHandle, Held> held_;
-  std::set<AcquireHandle> cancelled_;
+  std::map<AcquireHandle, bool> cancelled_;  // handle -> WhenReady was called
   std::set<TensorId> resident_;  // tensors whose allocation lives on this device
   int evictions_in_flight_ = 0;
   AcquireHandle next_handle_ = 1;
@@ -343,9 +347,6 @@ class MemorySystem {
   // BM_EvictionChurn. Index maintenance still runs so the comparison is honest.
   void set_reference_scan_eviction(bool on) { reference_scan_eviction_ = on; }
   bool reference_scan_eviction() const { return reference_scan_eviction_; }
-
-  // Allocates a completion event owned by the system (for staged multi-hop fetches).
-  OneShotEvent* NewEvent();
 
   // Post-run hygiene check: no pending acquisitions, no held pins, no in-flight
   // transfers anywhere. Returns an error describing the first violation (leaked pins and
@@ -413,7 +414,6 @@ class MemorySystem {
   MemoryPolicy policy_;
   std::vector<std::unique_ptr<MemoryManager>> managers_;
   NextUseFn next_use_;
-  std::vector<std::unique_ptr<OneShotEvent>> events_;
   bool pump_scheduled_ = false;
   std::vector<char> dirty_;  // per-device "pump me" bits
   // Waiting devices per in-flight tensor; only tensors that have waiters hold an entry.

@@ -22,10 +22,9 @@ Engine::Engine(Simulator* sim, const Machine* machine, MemorySystem* memory,
   const Status valid = plan->Validate();
   HCHECK(valid.ok()) << valid.ToString();
 
-  completion_.reserve(plan->tasks.size());
-  for (std::size_t i = 0; i < plan->tasks.size(); ++i) {
-    completion_.push_back(std::make_unique<OneShotEvent>(sim));
-  }
+  task_done_.assign(plan->tasks.size(), 0);
+  dep_waiters_.resize(plan->tasks.size());
+  deps_remaining_.assign(static_cast<std::size_t>(plan->num_devices()), 0);
   devices_.resize(static_cast<std::size_t>(plan->num_devices()));
   device_busy_.assign(static_cast<std::size_t>(plan->num_devices()), 0.0);
   device_time_.assign(static_cast<std::size_t>(plan->num_devices()), DeviceTimeBreakdown{});
@@ -260,11 +259,32 @@ void Engine::StartNextTask(int device) {
   const Task& task = plan_->tasks[static_cast<std::size_t>(task_id)];
   dep_wait_start_[static_cast<std::size_t>(device)] = sim_->now();
 
-  auto deps_done = std::make_shared<CountdownEvent>(sim_, static_cast<int>(task.deps.size()));
-  for (TaskId dep : task.deps) {
-    completion_[static_cast<std::size_t>(dep)]->OnFired([deps_done] { deps_done->Arrive(); });
+  // Every hop is a fresh event, one per dependency arrival and then one for the acquire:
+  // the hop count fixes the event order that every golden output depends on.
+  deps_remaining_[static_cast<std::size_t>(device)] = static_cast<int>(task.deps.size());
+  if (task.deps.empty()) {
+    sim_->ScheduleAfter(0.0, [this, device, task_id] { AcquireAndRun(device, task_id); });
+    return;
   }
-  deps_done->OnFired([this, device, task_id] { AcquireAndRun(device, task_id); });
+  for (TaskId dep : task.deps) {
+    if (task_done_[static_cast<std::size_t>(dep)]) {
+      sim_->ScheduleAfter(0.0, [this, device] { ArriveDependency(device); });
+    } else {
+      dep_waiters_[static_cast<std::size_t>(dep)].push_back(device);
+    }
+  }
+}
+
+void Engine::ArriveDependency(int device) {
+  const std::size_t slot = static_cast<std::size_t>(device);
+  HCHECK_GT(deps_remaining_[slot], 0);
+  if (--deps_remaining_[slot] > 0) {
+    return;
+  }
+  // The device's next task is still the one StartNextTask picked: next_index advances only
+  // once that task's working set is granted.
+  const TaskId task_id = plan_->per_device_order[slot][devices_[slot].next_index];
+  sim_->ScheduleAfter(0.0, [this, device, task_id] { AcquireAndRun(device, task_id); });
 }
 
 void Engine::AcquireAndRun(int device, TaskId task_id) {
@@ -284,26 +304,26 @@ void Engine::AcquireAndRun(int device, TaskId task_id) {
 
   auto it = prefetched_.find(task_id);
   if (it != prefetched_.end()) {
-    const MemoryManager::Acquisition acq = it->second;
+    const MemoryManager::AcquireHandle prefetch = it->second;
     prefetched_.erase(it);
-    acq.ready->OnFired([this, device, task_id, acq] {
+    manager.WhenReady(prefetch, [this, device, task_id, prefetch] {
       MemoryManager& mgr = memory_->manager(device);
-      if (mgr.WasCancelled(acq.handle)) {
-        mgr.Release(acq.handle);  // clears the cancellation record
-        const MemoryManager::Acquisition fresh =
+      if (mgr.WasCancelled(prefetch)) {
+        mgr.Release(prefetch);  // clears the cancellation record
+        const MemoryManager::AcquireHandle fresh =
             mgr.Acquire(plan_->tasks[static_cast<std::size_t>(task_id)].working_set);
-        fresh.ready->OnFired(
-            [this, device, task_id, fresh] { RunWithHandle(device, task_id, fresh.handle); });
+        mgr.WhenReady(fresh,
+                      [this, device, task_id, fresh] { RunWithHandle(device, task_id, fresh); });
       } else {
-        RunWithHandle(device, task_id, acq.handle);
+        RunWithHandle(device, task_id, prefetch);
       }
     });
     return;
   }
 
-  const MemoryManager::Acquisition acq = manager.Acquire(task.working_set);
-  acq.ready->OnFired(
-      [this, device, task_id, acq] { RunWithHandle(device, task_id, acq.handle); });
+  const MemoryManager::AcquireHandle handle = manager.Acquire(task.working_set);
+  manager.WhenReady(handle,
+                    [this, device, task_id, handle] { RunWithHandle(device, task_id, handle); });
 }
 
 void Engine::RunWithHandle(int device, TaskId task_id,
@@ -382,7 +402,12 @@ void Engine::FinishTask(int device, TaskId task_id, MemoryManager::AcquireHandle
   ++completed_tasks_;
   finish_time_ = sim_->now();
   last_finish_[static_cast<std::size_t>(device)] = sim_->now();
-  completion_[static_cast<std::size_t>(task_id)]->Fire();
+  task_done_[static_cast<std::size_t>(task_id)] = 1;
+  // Wake the waiting devices in registration order; the list dies with this scope.
+  const std::vector<int> waiters = std::move(dep_waiters_[static_cast<std::size_t>(task_id)]);
+  for (int waiter : waiters) {
+    sim_->ScheduleAfter(0.0, [this, waiter] { ArriveDependency(waiter); });
+  }
 
   auto& remaining = iteration_remaining_[static_cast<std::size_t>(task.iteration)];
   HCHECK_GT(remaining, 0);
@@ -407,7 +432,7 @@ void Engine::MaybePrefetch(int device) {
   }
   const Task& next = plan_->tasks[static_cast<std::size_t>(next_id)];
   for (TaskId dep : next.deps) {
-    if (!completion_[static_cast<std::size_t>(dep)]->fired()) {
+    if (!task_done_[static_cast<std::size_t>(dep)]) {
       return;  // inputs not produced yet; prefetching would fetch stale/absent data
     }
   }

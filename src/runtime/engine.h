@@ -3,11 +3,11 @@
 // Each device executes its queue in order. Per task the engine:
 //   1. waits for cross-device dependencies,
 //   2. acquires the task's working set from the device's MemoryManager (which swaps/evicts
-//      as needed and fires an event when everything is resident and pinned),
+//      as needed and runs the engine's continuation once everything is resident and pinned),
 //   3. models compute as flops / device-effective-FLOPs (all-reduce tasks instead rendezvous
 //      through the CollectiveEngine),
 //   4. on completion marks outputs dirty, releases pins, frees end-of-life tensors, and
-//      fires the task's completion event for dependents.
+//      wakes the devices waiting on the task.
 //
 // With prefetch enabled the engine overlaps the *next* task's swap-ins with the current
 // task's compute (the double-buffering trade-off from the paper's Sec. 4): the next working
@@ -115,6 +115,8 @@ class Engine {
   };
 
   void StartNextTask(int device);
+  // One of the device's next task's dependencies is done; the last one starts the acquire.
+  void ArriveDependency(int device);
   void AcquireAndRun(int device, TaskId task_id);
   void RunWithHandle(int device, TaskId task_id, MemoryManager::AcquireHandle handle);
   void FinishTask(int device, TaskId task_id, MemoryManager::AcquireHandle handle);
@@ -141,9 +143,14 @@ class Engine {
   const Plan* plan_;
   EngineOptions options_;
 
-  std::vector<std::unique_ptr<OneShotEvent>> completion_;
+  // Dependency tracking. Per task: whether it finished, and the devices whose next task
+  // waits on it (a device once per edge), freed when it finishes. Per device: how many of
+  // its next task's dependencies are still to arrive.
+  std::vector<char> task_done_;
+  std::vector<std::vector<int>> dep_waiters_;
+  std::vector<int> deps_remaining_;
   std::vector<DeviceState> devices_;
-  std::map<TaskId, MemoryManager::Acquisition> prefetched_;
+  std::map<TaskId, MemoryManager::AcquireHandle> prefetched_;
   std::map<int, int> collective_group_size_;
   std::vector<int> iteration_remaining_;
   std::vector<double> iteration_end_;

@@ -4,12 +4,6 @@
 
 namespace harmony {
 
-void Simulator::Reserve(std::size_t events) {
-  while (arena_capacity() < events) {
-    AddSlab();
-  }
-}
-
 // ---- arena ------------------------------------------------------------------------------
 
 void Simulator::AddSlab() {
@@ -165,38 +159,22 @@ SimTime Simulator::RunUntilIdle(std::uint64_t max_events) {
   return now_;
 }
 
-// ---- waitable events --------------------------------------------------------------------
-
-void OneShotEvent::Fire() {
-  HCHECK(!fired_) << "OneShotEvent fired twice";
-  fired_ = true;
-  fire_time_ = sim_->now();
-  for (auto& waiter : waiters_) {
-    sim_->ScheduleAfter(0.0, std::move(waiter));
-  }
-  waiters_.clear();
-}
-
-void OneShotEvent::OnFired(Simulator::Closure fn) {
-  if (fired_) {
-    sim_->ScheduleAfter(0.0, std::move(fn));
-  } else {
-    waiters_.push_back(std::move(fn));
-  }
-}
+// ---- joins ------------------------------------------------------------------------------
 
 void CountdownEvent::Arrive() {
   HCHECK_GT(remaining_, 0) << "CountdownEvent::Arrive past zero";
-  --remaining_;
-  if (remaining_ == 0) {
-    done_.Fire();
+  if (--remaining_ == 0 && continuation_) {
+    sim_->ScheduleAfter(0.0, std::move(continuation_));
   }
 }
 
-void CountdownEvent::Expect(int additional) {
-  HCHECK_GT(additional, 0);
-  HCHECK(!done_.fired()) << "CountdownEvent::Expect after fire";
-  remaining_ += additional;
+void CountdownEvent::OnFired(Simulator::Closure fn) {
+  HCHECK(!continuation_) << "CountdownEvent continuation registered twice";
+  if (fired()) {
+    sim_->ScheduleAfter(0.0, std::move(fn));
+  } else {
+    continuation_ = std::move(fn);
+  }
 }
 
 }  // namespace harmony

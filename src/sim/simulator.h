@@ -43,10 +43,6 @@ class Simulator {
   SimTime now() const { return now_; }
   std::uint64_t events_processed() const { return events_processed_; }
 
-  // Capacity hint: pre-sizes the event arena to at least `events` outstanding events so
-  // steady-state scheduling never allocates.
-  void Reserve(std::size_t events);
-
   // Schedules `fn` to run at absolute time `when` (must be >= now()).
   void ScheduleAt(SimTime when, Closure fn);
 
@@ -123,60 +119,31 @@ class Simulator {
   std::unordered_map<SimTime, std::uint32_t> bucket_by_time_;
 };
 
-// One-shot waitable event. Waiters registered before the fire run (in registration order) as
-// fresh simulator events at the fire time; waiters registered after the fire run as fresh
-// events at the current time. This "always asynchronous" rule avoids re-entrancy surprises.
-class OneShotEvent {
+// Join counter: runs one continuation once `count` arrivals have been recorded. Used for
+// joins: "run when all input transfers complete", "all devices reached the allreduce". The
+// continuation always runs as a fresh simulator event, never inside Arrive() or OnFired():
+// registered before the last arrival, it is scheduled at that arrival's time; registered
+// after, at the current time. This "always asynchronous" rule avoids re-entrancy surprises.
+class CountdownEvent {
  public:
-  explicit OneShotEvent(Simulator* sim) : sim_(sim) { HCHECK(sim != nullptr); }
-  OneShotEvent(const OneShotEvent&) = delete;
-  OneShotEvent& operator=(const OneShotEvent&) = delete;
-
-  bool fired() const { return fired_; }
-  // Valid only after fired().
-  SimTime fire_time() const {
-    HCHECK(fired_);
-    return fire_time_;
+  CountdownEvent(Simulator* sim, int count) : sim_(sim), remaining_(count) {
+    HCHECK(sim != nullptr);
+    HCHECK_GE(count, 0);
   }
+  CountdownEvent(const CountdownEvent&) = delete;
+  CountdownEvent& operator=(const CountdownEvent&) = delete;
 
-  // Fires the event at the current simulated time. Must be called at most once.
-  void Fire();
+  // Records one arrival; schedules the continuation when the count reaches zero.
+  void Arrive();
 
-  // Registers a callback to run (as a fresh event) once the event has fired.
+  bool fired() const { return remaining_ == 0; }
+  // Registers the continuation; at most one per event.
   void OnFired(Simulator::Closure fn);
 
  private:
   Simulator* sim_;
-  bool fired_ = false;
-  SimTime fire_time_ = kSimTimeNever;
-  std::vector<Simulator::Closure> waiters_;
-};
-
-// Fires an inner OneShotEvent once `count` arrivals have been recorded. Used for joins:
-// "run when all input transfers complete", "all devices reached the allreduce".
-class CountdownEvent {
- public:
-  CountdownEvent(Simulator* sim, int count) : remaining_(count), done_(sim) {
-    HCHECK_GE(count, 0);
-    if (count == 0) {
-      done_.Fire();
-    }
-  }
-
-  // Records one arrival; fires when the count reaches zero.
-  void Arrive();
-
-  // Registers additional expected arrivals before any Arrive() exhausts the count. Fatal
-  // once the event has fired: a late Expect could never be satisfied and would deadlock
-  // the join it guards.
-  void Expect(int additional);
-
-  bool fired() const { return done_.fired(); }
-  void OnFired(Simulator::Closure fn) { done_.OnFired(std::move(fn)); }
-
- private:
   int remaining_;
-  OneShotEvent done_;
+  Simulator::Closure continuation_;  // registered, not yet scheduled
 };
 
 }  // namespace harmony

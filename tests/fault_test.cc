@@ -646,8 +646,8 @@ TEST(FaultElasticTest, InvalidConfigurationRunsNoSegment) {
   EXPECT_TRUE(result.segments.empty());
 }
 
-// Survivors are tracked over one node's GPUs: a GPU fault on node 1 of a two-node cluster is
-// a typed error before any segment runs, not an out-of-range rebind.
+// A cluster cannot drop a single GPU (every node is a copy of config.server): a fail-stop on
+// node 1 of a two-node cluster is a typed error before any segment runs.
 TEST(FaultElasticTest, GpuFaultOnAnotherNodeIsATypedError) {
   const Model model = FaultModel();
   SessionConfig config = FaultConfig(2, 4);
@@ -659,6 +659,42 @@ TEST(FaultElasticTest, GpuFaultOnAnotherNodeIsATypedError) {
   EXPECT_NE(result.status.message().find("targets node 1"), std::string::npos)
       << result.status.ToString();
   EXPECT_TRUE(result.segments.empty());
+}
+
+// The same holds on node 0: shrinking server.num_gpus would take one GPU from every node.
+TEST(FaultElasticTest, MultiNodeFailStopOnNodeZeroIsATypedError) {
+  const Model model = FaultModel();
+  SessionConfig config = FaultConfig(2, 4);
+  config.num_nodes = 2;
+  config.faults.Add(FaultEvent{0.05, FaultKind::kGpuFailStop, 1, 1.0, 0.0});
+  ASSERT_TRUE(ValidateSessionConfig(model, config).ok());
+  const ElasticResult result = RunTrainingElastic(model, config);
+  EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status.message().find("targets node 0 of 2"), std::string::npos)
+      << result.status.ToString();
+  EXPECT_TRUE(result.segments.empty());
+}
+
+// A multi-node straggler is not excluded: the run finishes degraded on every GPU of every
+// node, and each segment reports the whole machine.
+TEST(FaultElasticTest, MultiNodeStragglerFinishesDegradedOnAllGpus) {
+  const Model model = FaultModel();
+  SessionConfig config = FaultConfig(2, 4);
+  config.num_nodes = 2;
+  config.straggler_threshold = 1.5;
+  config.faults = ParseFaultSpec("gpu_slow@0.01:gpu3:0.2:inf").value();
+  ASSERT_TRUE(ValidateSessionConfig(model, config).ok());
+  const ElasticResult result = RunTrainingElastic(model, config);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.completed_iterations, config.iterations);
+  EXPECT_EQ(result.stats.failures, 0);
+  EXPECT_EQ(result.stats.degradations, 1);
+  ASSERT_EQ(result.segments.size(), 2u);
+  for (const RecoverySegment& segment : result.segments) {
+    EXPECT_EQ(segment.gpus, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(segment.config.total_gpus(), 4);
+  }
+  EXPECT_GT(result.final_segment().result.report.degraded_sec, 0.0);
 }
 
 TEST(FaultElasticTest, RecoveryIsDeterministicAcrossRuns) {

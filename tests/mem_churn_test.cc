@@ -25,6 +25,7 @@
 #include "src/runtime/next_use.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
+#include "tests/acquire_probe.h"
 #include "tests/test_models.h"
 
 namespace harmony {
@@ -65,6 +66,7 @@ class ChurnHarness {
   }
 
   Simulator sim_;
+  AcquireProbe probe_{&sim_};
   Topology topo_;
   TensorRegistry reg_;
   std::unique_ptr<TransferManager> tm_;
@@ -135,10 +137,11 @@ TEST_P(EvictionChurnTest, IndexedVictimMatchesReferenceScanUnderRandomChurn) {
       set.scratch_bytes = static_cast<Bytes>(rng.NextBounded(3)) * 256;
       const bool best_effort = rng.NextBounded(4) == 0;
       std::vector<TensorId> pinned = set.fetch;
-      auto acq = h.system_->manager(device).Acquire(std::move(set), best_effort);
+      const AcquireOutcome* acq =
+          h.probe_.Acquire(h.system_->manager(device), std::move(set), best_effort);
       h.sim_.RunUntilIdle();
-      ASSERT_TRUE(acq.ready->fired());
-      held.push_back(HeldSet{device, acq.handle, std::move(pinned)});
+      ASSERT_TRUE(acq->fired);
+      held.push_back(HeldSet{device, acq->handle, std::move(pinned)});
     } else if (!held.empty() && (op < 7 || held.size() >= 2)) {
       // Release one held set, sometimes dirtying its members first (Release is required
       // even for cancelled best-effort handles — that erase is what keeps cancelled_
@@ -232,9 +235,9 @@ TEST(IndexRegressionTest, IndexesSurviveDefragment) {
   const TensorId d = reg.Create("D", 256, TensorClass::kActivation, true);
   WorkingSet warm;
   warm.fetch = {a, b, c, d};
-  auto acq = mgr.Acquire(std::move(warm));
+  const AcquireOutcome* acq = h.probe_.Acquire(mgr, std::move(warm));
   h.sim_.RunUntilIdle();
-  ASSERT_TRUE(acq.ready->fired());
+  ASSERT_TRUE(acq->fired);
 
   // Pin A and C through a second handle, then release the warm-up pins and punch holes at
   // B and D. Free space is now 256 @B + 256 @D + 1024 at the end — 1536 B total but only
@@ -242,10 +245,10 @@ TEST(IndexRegressionTest, IndexesSurviveDefragment) {
   // fit nor evict: the manager must defragment.
   WorkingSet pin_ac;
   pin_ac.fetch = {a, c};
-  auto pins = mgr.Acquire(std::move(pin_ac));
+  const AcquireOutcome* pins = h.probe_.Acquire(mgr, std::move(pin_ac));
   h.sim_.RunUntilIdle();
-  ASSERT_TRUE(pins.ready->fired());
-  mgr.Release(acq.handle);
+  ASSERT_TRUE(pins->fired);
+  mgr.Release(acq->handle);
   h.sim_.RunUntilIdle();
   mgr.FreeTensor(b);
   mgr.FreeTensor(d);
@@ -254,23 +257,23 @@ TEST(IndexRegressionTest, IndexesSurviveDefragment) {
   const TensorId e = reg.Create("E", 1536, TensorClass::kActivation, false);
   WorkingSet big;
   big.allocate = {e};
-  auto big_acq = mgr.Acquire(std::move(big));
+  const AcquireOutcome* big_acq = h.probe_.Acquire(mgr, std::move(big));
   h.sim_.RunUntilIdle();
-  ASSERT_TRUE(big_acq.ready->fired());
+  ASSERT_TRUE(big_acq->fired);
   EXPECT_EQ(mgr.counters().defrags, 1);
   EXPECT_EQ(mgr.DebugCheckIndexConsistency(), "");
 
   // Post-defrag churn: evicting with relocated offsets must still audit clean.
-  mgr.Release(pins.handle);
-  mgr.Release(big_acq.handle);
+  mgr.Release(pins->handle);
+  mgr.Release(big_acq->handle);
   h.sim_.RunUntilIdle();
   const TensorId f = reg.Create("F", 1024, TensorClass::kActivation, true);
   WorkingSet squeeze;
   squeeze.fetch = {f};
-  auto sq = mgr.Acquire(std::move(squeeze));
+  const AcquireOutcome* sq = h.probe_.Acquire(mgr, std::move(squeeze));
   h.sim_.RunUntilIdle();
-  ASSERT_TRUE(sq.ready->fired());
-  mgr.Release(sq.handle);
+  ASSERT_TRUE(sq->fired);
+  mgr.Release(sq->handle);
   h.sim_.RunUntilIdle();
   EXPECT_GT(mgr.counters().evictions, 0);
   ExpectIndexesConsistent(*h.system_);
@@ -294,10 +297,10 @@ TEST(IndexRegressionTest, IndexesSurviveFreeTensor) {
   for (TensorId id : {a, b, c}) {
     WorkingSet set;
     set.fetch = {id};
-    auto acq = mgr.Acquire(std::move(set));
+    const AcquireOutcome* acq = h.probe_.Acquire(mgr, std::move(set));
     h.sim_.RunUntilIdle();
-    ASSERT_TRUE(acq.ready->fired());
-    mgr.Release(acq.handle);
+    ASSERT_TRUE(acq->fired);
+    mgr.Release(acq->handle);
     h.sim_.RunUntilIdle();
   }
   mgr.FreeTensor(b);
@@ -309,11 +312,11 @@ TEST(IndexRegressionTest, IndexesSurviveFreeTensor) {
   const TensorId d = reg.Create("D", 1024, TensorClass::kWeight, true);
   WorkingSet set;
   set.fetch = {d};
-  auto acq = mgr.Acquire(std::move(set));
+  const AcquireOutcome* acq = h.probe_.Acquire(mgr, std::move(set));
   h.sim_.RunUntilIdle();
-  ASSERT_TRUE(acq.ready->fired());
+  ASSERT_TRUE(acq->fired);
   EXPECT_EQ(reg.state(a).residency, Residency::kNone);
-  mgr.Release(acq.handle);
+  mgr.Release(acq->handle);
   h.sim_.RunUntilIdle();
   ExpectIndexesConsistent(*h.system_);
   const Status quiescent = h.system_->CheckQuiescent();
@@ -332,25 +335,26 @@ TEST(IndexRegressionTest, CheckQuiescentReportsLeakedCancelledHandles) {
   const TensorId b = reg.Create("B", 768, TensorClass::kWeight, true);
   WorkingSet pin_a;
   pin_a.fetch = {a};
-  auto held = mgr.Acquire(std::move(pin_a));
+  const AcquireOutcome* held = h.probe_.Acquire(mgr, std::move(pin_a));
   h.sim_.RunUntilIdle();
-  ASSERT_TRUE(held.ready->fired());
+  ASSERT_TRUE(held->fired);
 
   // B cannot fit without evicting pinned A: the best-effort request cancels.
   WorkingSet want_b;
   want_b.fetch = {b};
-  auto prefetch = mgr.Acquire(std::move(want_b), /*best_effort=*/true);
+  const AcquireOutcome* prefetch =
+      h.probe_.Acquire(mgr, std::move(want_b), /*best_effort=*/true);
   h.sim_.RunUntilIdle();
-  ASSERT_TRUE(prefetch.ready->fired());
-  ASSERT_TRUE(mgr.WasCancelled(prefetch.handle));
+  ASSERT_TRUE(prefetch->fired);
+  ASSERT_TRUE(mgr.WasCancelled(prefetch->handle));
 
-  mgr.Release(held.handle);
+  mgr.Release(held->handle);
   h.sim_.RunUntilIdle();
   const Status leaked = h.system_->CheckQuiescent();
   ASSERT_FALSE(leaked.ok());
   EXPECT_NE(leaked.ToString().find("cancelled"), std::string::npos) << leaked.ToString();
 
-  mgr.Release(prefetch.handle);  // the required cleanup erases the entry
+  mgr.Release(prefetch->handle);  // the required cleanup erases the entry
   const Status clean = h.system_->CheckQuiescent();
   EXPECT_TRUE(clean.ok()) << clean.ToString();
 }

@@ -4,6 +4,7 @@
 #include "src/mem/memory_manager.h"
 #include "src/mem/tensor.h"
 #include "src/sim/simulator.h"
+#include "tests/acquire_probe.h"
 
 namespace harmony {
 namespace {
@@ -128,13 +129,14 @@ class MemorySystemTest : public ::testing::Test {
 
   // Acquire + wait; returns the handle.
   MemoryManager::AcquireHandle AcquireNow(int device, WorkingSet set) {
-    auto acq = system_->manager(device).Acquire(std::move(set));
+    const AcquireOutcome* acq = probe_.Acquire(system_->manager(device), std::move(set));
     sim_.RunUntilIdle();
-    EXPECT_TRUE(acq.ready->fired());
-    return acq.handle;
+    EXPECT_TRUE(acq->fired);
+    return acq->handle;
   }
 
   Simulator sim_;
+  AcquireProbe probe_{&sim_};
   Topology topo_;
   TensorRegistry reg_;
   std::unique_ptr<TransferManager> tm_;
@@ -312,11 +314,12 @@ TEST_F(MemorySystemTest, BestEffortRequestCancelsWhenStuck) {
 
   WorkingSet set_b;
   set_b.fetch = {b};
-  auto acq = system_->manager(0).Acquire(std::move(set_b), /*best_effort=*/true);
+  const AcquireOutcome* acq =
+      probe_.Acquire(system_->manager(0), std::move(set_b), /*best_effort=*/true);
   sim_.RunUntilIdle();
-  ASSERT_TRUE(acq.ready->fired());
-  EXPECT_TRUE(system_->manager(0).WasCancelled(acq.handle));
-  system_->manager(0).Release(acq.handle);  // no-op, no crash
+  ASSERT_TRUE(acq->fired);
+  EXPECT_TRUE(system_->manager(0).WasCancelled(acq->handle));
+  system_->manager(0).Release(acq->handle);  // no-op, no crash
   EXPECT_EQ(reg_.state(b).pin_count, 0);
   EXPECT_EQ(reg_.state(b).residency, Residency::kNone);
 }
@@ -331,12 +334,12 @@ TEST_F(MemorySystemTest, NormalRequestWaitsForReleaseInsteadOfCancelling) {
 
   WorkingSet set_b;
   set_b.fetch = {b};
-  auto acq = system_->manager(0).Acquire(std::move(set_b));
+  const AcquireOutcome* acq = probe_.Acquire(system_->manager(0), std::move(set_b));
   sim_.RunUntilIdle();
-  EXPECT_FALSE(acq.ready->fired());  // stuck but patient
+  EXPECT_FALSE(acq->fired);  // stuck but patient
   system_->manager(0).Release(handle_a);
   sim_.RunUntilIdle();
-  EXPECT_TRUE(acq.ready->fired());
+  EXPECT_TRUE(acq->fired);
   EXPECT_EQ(reg_.state(b).residency, Residency::kResident);
 }
 
@@ -360,12 +363,103 @@ TEST_F(MemorySystemTest, FifoGrantOrderPerDevice) {
   set_a.fetch = {a};
   WorkingSet set_b;
   set_b.fetch = {b};
-  auto acq_a = system_->manager(0).Acquire(std::move(set_a));
-  auto acq_b = system_->manager(0).Acquire(std::move(set_b));
+  const AcquireOutcome* acq_a = probe_.Acquire(system_->manager(0), std::move(set_a));
+  const AcquireOutcome* acq_b = probe_.Acquire(system_->manager(0), std::move(set_b));
   sim_.RunUntilIdle();
-  ASSERT_TRUE(acq_a.ready->fired());
-  ASSERT_TRUE(acq_b.ready->fired());
-  EXPECT_LE(acq_a.ready->fire_time(), acq_b.ready->fire_time());
+  ASSERT_TRUE(acq_a->fired);
+  ASSERT_TRUE(acq_b->fired);
+  EXPECT_LE(acq_a->time, acq_b->time);
+}
+
+// ---- WhenReady continuations ---------------------------------------------------------------
+
+// A continuation registered while the request is pending runs as a fresh event at the
+// grant time, exactly once.
+TEST_F(MemorySystemTest, WhenReadyBeforeGrantRunsAtGrantTime) {
+  Init(HarmonyPolicy());
+  const TensorId w = NewTensor("W", 400, TensorClass::kWeight, true);
+  WorkingSet set;
+  set.fetch = {w};
+  const AcquireOutcome* acq = probe_.Acquire(system_->manager(0), set);
+  EXPECT_FALSE(acq->fired);  // never inside Acquire or WhenReady
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(acq->fired);
+  EXPECT_EQ(acq->deliveries, 1);
+  EXPECT_FALSE(acq->cancelled);
+  // The swap-in took simulated time, and the grant waited for it.
+  EXPECT_GT(acq->time, 0.0);
+  EXPECT_EQ(reg_.state(w).residency, Residency::kResident);
+  system_->manager(0).Release(acq->handle);
+}
+
+// A continuation registered after the grant still runs asynchronously, as a fresh event at
+// the current time.
+TEST_F(MemorySystemTest, WhenReadyAfterGrantRunsAtNow) {
+  Init(HarmonyPolicy());
+  const TensorId w = NewTensor("W", 400, TensorClass::kWeight, true);
+  WorkingSet set;
+  set.fetch = {w};
+  MemoryManager& manager = system_->manager(0);
+  const MemoryManager::AcquireHandle handle = manager.Acquire(set);
+  sim_.RunUntilIdle();
+  const SimTime granted_by = sim_.now();
+  sim_.ScheduleAfter(1.0, [] {});
+  sim_.RunUntilIdle();
+  const AcquireOutcome* late = probe_.Watch(manager, handle);
+  EXPECT_FALSE(late->fired);  // asynchronous even when already granted
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(late->fired);
+  EXPECT_EQ(late->deliveries, 1);
+  EXPECT_DOUBLE_EQ(late->time, granted_by + 1.0);
+  manager.Release(handle);
+}
+
+// A cancelled best-effort request runs its continuation exactly once, whether it was
+// registered before the cancellation or after it.
+TEST_F(MemorySystemTest, WhenReadyOnCancelledRequestRunsOnce) {
+  Init(HarmonyPolicy(), /*capacity=*/1536);
+  const TensorId a = NewTensor("A", 1024, TensorClass::kWeight, true);
+  const TensorId b = NewTensor("B", 1024, TensorClass::kWeight, true);
+  WorkingSet set_a;
+  set_a.fetch = {a};
+  const auto handle_a = AcquireNow(0, set_a);  // pinned; fills the device
+
+  MemoryManager& manager = system_->manager(0);
+  WorkingSet set_b;
+  set_b.fetch = {b};
+  const AcquireOutcome* early = probe_.Acquire(manager, set_b, /*best_effort=*/true);
+  const MemoryManager::AcquireHandle unwatched = manager.Acquire(set_b, /*best_effort=*/true);
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(early->fired);
+  EXPECT_TRUE(early->cancelled);
+  EXPECT_EQ(early->deliveries, 1);
+  ASSERT_TRUE(manager.WasCancelled(unwatched));
+  const AcquireOutcome* late = probe_.Watch(manager, unwatched);
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(late->fired);
+  EXPECT_TRUE(late->cancelled);
+  EXPECT_EQ(late->deliveries, 1);
+  EXPECT_EQ(early->deliveries, 1);
+  manager.Release(early->handle);
+  manager.Release(unwatched);
+  manager.Release(handle_a);
+  EXPECT_TRUE(system_->CheckQuiescent().ok());
+}
+
+TEST_F(MemorySystemTest, SecondWhenReadyOnOneHandleIsFatal) {
+  Init(HarmonyPolicy());
+  const TensorId w = NewTensor("W", 400, TensorClass::kWeight, true);
+  WorkingSet set;
+  set.fetch = {w};
+  MemoryManager& manager = system_->manager(0);
+  const MemoryManager::AcquireHandle pending = manager.Acquire(set);
+  manager.WhenReady(pending, [] {});
+  EXPECT_DEATH(manager.WhenReady(pending, [] {}), "second WhenReady");
+  sim_.RunUntilIdle();
+  // Granted with its continuation already run: a second registration is still fatal.
+  EXPECT_DEATH(manager.WhenReady(pending, [] {}), "second WhenReady");
+  manager.Release(pending);
+  EXPECT_DEATH(manager.WhenReady(pending, [] {}), "released");
 }
 
 TEST_F(MemorySystemTest, CountersSumAcrossDevices) {

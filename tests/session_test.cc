@@ -18,6 +18,7 @@
 #include "src/runtime/report_io.h"
 #include "src/runtime/trace_export.h"
 #include "src/util/flags.h"
+#include "tests/acquire_probe.h"
 
 namespace harmony {
 namespace {
@@ -323,6 +324,7 @@ TEST(LookaheadEvictionTest, BeatsLruOnCyclicAccess) {
     MemoryPolicy policy = HarmonyPolicy();
     policy.eviction = eviction;
     MemorySystem system(&sim, &tm, &reg, &topo, {(kTensors - 1) * 256}, policy);
+    AcquireProbe probe(&sim);
     std::vector<TensorId> ids;
     for (int t = 0; t < kTensors; ++t) {
       std::string name = "T";
@@ -346,10 +348,10 @@ TEST(LookaheadEvictionTest, BeatsLruOnCyclicAccess) {
       now_step = static_cast<std::uint64_t>(access);
       WorkingSet set;
       set.fetch = {ids[static_cast<std::size_t>(access % kTensors)]};
-      auto acq = system.manager(0).Acquire(set);
+      const AcquireOutcome* acq = probe.Acquire(system.manager(0), set);
       sim.RunUntilIdle();
-      EXPECT_TRUE(acq.ready->fired());
-      system.manager(0).Release(acq.handle);
+      EXPECT_TRUE(acq->fired);
+      system.manager(0).Release(acq->handle);
       sim.RunUntilIdle();
     }
     return system.manager(0).counters().total_swap_in();
@@ -372,6 +374,7 @@ TEST(LookaheadEvictionTest, KeepsSoonNeededTensorResident) {
   MemoryPolicy policy = HarmonyPolicy();
   policy.eviction = EvictionPolicy::kLookahead;
   MemorySystem system(&sim, &tm, &reg, &topo, {768}, policy);
+  AcquireProbe probe(&sim);
 
   const TensorId a = reg.Create("A", 256, TensorClass::kWeight, true);
   const TensorId b = reg.Create("B", 256, TensorClass::kWeight, true);
@@ -388,19 +391,19 @@ TEST(LookaheadEvictionTest, KeepsSoonNeededTensorResident) {
 
   WorkingSet wa;
   wa.fetch = {a};
-  auto acq_a = system.manager(0).Acquire(wa);
+  const MemoryManager::AcquireHandle acq_a = system.manager(0).Acquire(wa);
   WorkingSet wb;
   wb.fetch = {b};
-  auto acq_b = system.manager(0).Acquire(wb);
+  const MemoryManager::AcquireHandle acq_b = system.manager(0).Acquire(wb);
   sim.RunUntilIdle();
-  system.manager(0).Release(acq_a.handle);
-  system.manager(0).Release(acq_b.handle);
+  system.manager(0).Release(acq_a);
+  system.manager(0).Release(acq_b);
 
   WorkingSet wc;
   wc.fetch = {c};  // forces one eviction
-  auto acq_c = system.manager(0).Acquire(wc);
+  const AcquireOutcome* acq_c = probe.Acquire(system.manager(0), wc);
   sim.RunUntilIdle();
-  ASSERT_TRUE(acq_c.ready->fired());
+  ASSERT_TRUE(acq_c->fired);
   EXPECT_EQ(reg.state(a).residency, Residency::kResident);  // the LRU victim survived
   EXPECT_EQ(reg.state(b).residency, Residency::kNone);      // Belady evicted the dead one
 }

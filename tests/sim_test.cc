@@ -95,39 +95,6 @@ TEST(SimulatorDeathTest, EventBudgetCatchesLivelock) {
   EXPECT_DEATH(sim.RunUntilIdle(/*max_events=*/1000), "budget");
 }
 
-TEST(OneShotEventTest, WaitersRunAfterFire) {
-  Simulator sim;
-  OneShotEvent event(&sim);
-  int fired = 0;
-  event.OnFired([&] { ++fired; });
-  event.OnFired([&] { ++fired; });
-  EXPECT_FALSE(event.fired());
-  sim.ScheduleAt(3.0, [&] { event.Fire(); });
-  sim.RunUntilIdle();
-  EXPECT_TRUE(event.fired());
-  EXPECT_DOUBLE_EQ(event.fire_time(), 3.0);
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(OneShotEventTest, LateWaiterStillRuns) {
-  Simulator sim;
-  OneShotEvent event(&sim);
-  sim.ScheduleAt(1.0, [&] { event.Fire(); });
-  sim.RunUntilIdle();
-  int fired = 0;
-  event.OnFired([&] { ++fired; });
-  EXPECT_EQ(fired, 0);  // asynchronous even when already fired
-  sim.RunUntilIdle();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(OneShotEventDeathTest, DoubleFireAborts) {
-  Simulator sim;
-  OneShotEvent event(&sim);
-  event.Fire();
-  EXPECT_DEATH(event.Fire(), "twice");
-}
-
 TEST(CountdownEventTest, FiresAtZero) {
   Simulator sim;
   CountdownEvent countdown(&sim, 3);
@@ -148,17 +115,6 @@ TEST(CountdownEventTest, ZeroCountFiresImmediately) {
   EXPECT_TRUE(countdown.fired());
 }
 
-TEST(CountdownEventTest, ExpectAddsArrivals) {
-  Simulator sim;
-  CountdownEvent countdown(&sim, 1);
-  countdown.Expect(2);
-  countdown.Arrive();
-  countdown.Arrive();
-  EXPECT_FALSE(countdown.fired());
-  countdown.Arrive();
-  EXPECT_TRUE(countdown.fired());
-}
-
 TEST(SimulatorPropertyTest, DeterministicAcrossRuns) {
   auto run = [] {
     Simulator sim;
@@ -171,14 +127,6 @@ TEST(SimulatorPropertyTest, DeterministicAcrossRuns) {
     return times;
   };
   EXPECT_EQ(run(), run());
-}
-
-TEST(CountdownEventDeathTest, ExpectAfterFireAborts) {
-  Simulator sim;
-  CountdownEvent countdown(&sim, 1);
-  countdown.Arrive();
-  ASSERT_TRUE(countdown.fired());
-  EXPECT_DEATH(countdown.Expect(1), "after fire");
 }
 
 // ---- reference order ---------------------------------------------------------------------------
@@ -253,18 +201,17 @@ TEST(SimulatorArenaTest, SlotsAreReusedAcrossRuns) {
   EXPECT_EQ(sim.arena_capacity(), 4096u);
 }
 
-TEST(SimulatorArenaTest, ReservePresizesAndGrowsOnDemand) {
+TEST(SimulatorArenaTest, GrowsOnDemand) {
   Simulator sim;
-  sim.Reserve(10000);
-  EXPECT_GE(sim.arena_capacity(), 10000u);
-  const std::size_t reserved = sim.arena_capacity();
+  EXPECT_EQ(sim.arena_capacity(), 0u);  // no slab until the first event
   int fired = 0;
-  for (int i = 0; i < 20000; ++i) {  // more outstanding events than reserved
+  for (int i = 0; i < 20000; ++i) {  // more outstanding events than one slab holds
     sim.ScheduleAfter(1.0, [&fired] { ++fired; });
   }
+  EXPECT_GE(sim.arena_capacity(), 20000u);
   sim.RunUntilIdle();
   EXPECT_EQ(fired, 20000);
-  EXPECT_GT(sim.arena_capacity(), reserved);
+  EXPECT_EQ(sim.arena_in_use(), 0u);
 }
 
 TEST(SimulatorArenaTest, OversizedClosuresFallBackToHeap) {

@@ -286,7 +286,6 @@ TEST(TunerTest, CachedProfileMatchesDirectRunBitwise) {
       {"audit_eviction", [](SessionConfig& c) { c.audit_eviction = true; }},
       {"prefetch", [](SessionConfig& c) { c.prefetch = false; }},
       {"record_timeline", [](SessionConfig& c) { c.record_timeline = true; }},
-      {"lint_plan", [](SessionConfig& c) { c.lint_plan = false; }},
       {"faults", [&slow](SessionConfig& c) { c.faults = slow; }},
       // Differs from the row above only below FaultPlan::ToString's millisecond rounding.
       {"faults (sub-millisecond)", [&slow_later](SessionConfig& c) { c.faults = slow_later; }},

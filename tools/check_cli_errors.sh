@@ -126,8 +126,11 @@ expect_invalid() {
 
 # Network-scoped fault targets are validated against the cluster shape before the run.
 expect_invalid "targets nic5" --nodes=2 --scheme=harmony-dp --microbatches=2 --faults='flow_flap@1:nic5'
-# Elastic recovery rebinds within one node: a fail-stop on another node is a typed error.
+# Elastic recovery rebinds within one node: a fail-stop anywhere on a multi-node session is
+# a typed error, on another node or on node 0.
 expect_invalid "elastic recovery rebinds within one node" --nodes=2 --gpus=2 --faults='fail@0.5:gpu3'
+expect_invalid "elastic recovery rebinds within one node" --nodes=2 --gpus=2 --scheme=harmony-pp \
+  --model=bert-base --iterations=4 --checkpoint_every=1 --faults='fail@0.5:gpu1'
 # An infeasible configuration (one task's working set exceeds a GPU) is a validation error
 # in a plain run, in --lint and in an elastic --faults run.
 infeasible=(--gpu_memory_gib=0.5 --model=gpt2-xl --pack_size=8 --microbatch_size=16 --iterations=1)

@@ -28,10 +28,16 @@
 #                         preemption checkpoint/restore protocol, and per-tenant
 #                         quota enforcement, which nest whole sessions inside an
 #                         outer event stream.
-#   - `ctest -L mem`    : the memory manager and its eviction indexes (ASan job only) —
-#                         the LRU links shared machine-wide, the next-use index and the
-#                         tensor waiter lists are indexed by tensor id, where ASan
-#                         catches a stale or out-of-range index.
+#   - `ctest -L mem`    : the memory manager and its eviction indexes (UBSan and ASan
+#                         jobs) — the LRU links shared machine-wide, the next-use index
+#                         and the tensor waiter lists are indexed by tensor id, where ASan
+#                         catches a stale or out-of-range index. Acquire continuations live
+#                         in the pending request until it is granted or cancelled, then
+#                         move into the simulator and are destroyed once run.
+#   - `ctest -L runtime`: the engine (UBSan and ASan jobs) — dependency waiter lists per
+#                         task, freed when the task finishes, and per-device dependency
+#                         counts, which hold every engine continuation that used to live
+#                         in a completion event until teardown.
 #   - `ctest -L hw`     : the topology and transfer manager (UBSan and ASan jobs) — tree
 #                         routes held inline, and completion closures that move through
 #                         the pending and active flow tables and are destroyed once run.
@@ -70,9 +76,8 @@ run_one() {
     if [[ $sanitizer != thread ]]; then
       (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L hw)
       (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -R fault)
-    fi
-    if [[ $sanitizer == address ]]; then
       (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L mem)
+      (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L runtime)
     fi
   fi
   echo "==== $sanitizer: clean ===="
