@@ -10,22 +10,13 @@
 #include "src/util/thread_pool.h"
 
 namespace harmony {
-namespace {
-
-// Serializes the model and every SessionConfig field into a cache key: the PlanOptions
-// base, then the machine, memory, engine, fault-tolerance and quota fields. Output-only
-// knobs (timeline recording, lint, the eviction audit) are keyed too, since a cached report
-// must equal what the direct run would have returned. The one field left out is
-// checkpoint_store, which the memoized paths refuse. Plain text rather than a hash:
-// collisions are impossible and keys are debuggable. Key construction costs microseconds
-// against the milliseconds-to-seconds simulation it saves.
-void AppendLinkSpec(std::ostringstream& os, const LinkSpec& link) {
-  os << link.name << ',' << link.bandwidth_bytes_per_sec << ',' << link.latency_sec << ';';
-}
 
 std::string SimulationKey(const Model& model, const SessionConfig& config) {
   std::ostringstream os;
   os.precision(17);
+  const auto append_link = [&os](const LinkSpec& link) {
+    os << link.name << ',' << link.bandwidth_bytes_per_sec << ',' << link.latency_sec << ';';
+  };
   os << model.name() << '|' << model.input_bytes_per_sample() << '|';
   for (int l = 0; l < model.num_layers(); ++l) {
     const LayerCost& c = model.layer(l).cost;
@@ -42,11 +33,11 @@ std::string SimulationKey(const Model& model, const SessionConfig& config) {
   os << "|server:" << server.num_gpus << ',' << server.gpus_per_switch << ','
      << server.p2p_enabled << ',' << server.gpu.name << ',' << server.gpu.memory_bytes << ','
      << server.gpu.peak_flops << ',' << server.gpu.efficiency << ';';
-  AppendLinkSpec(os, server.gpu_link);
-  AppendLinkSpec(os, server.host_link);
+  append_link(server.gpu_link);
+  append_link(server.host_link);
   os << "|cluster:" << config.num_nodes << ',' << config.nodes_per_rack << ';';
-  AppendLinkSpec(os, config.nic_link);
-  AppendLinkSpec(os, config.rack_link);
+  append_link(config.nic_link);
+  append_link(config.rack_link);
   os << "|run:" << static_cast<int>(config.scheme) << ',' << config.p2p << ','
      << config.lookahead_eviction << ',' << config.audit_eviction << ',' << config.prefetch
      << ',' << config.record_timeline << ',' << config.uplink_bw_fraction;
@@ -65,6 +56,8 @@ std::string SimulationKey(const Model& model, const SessionConfig& config) {
   }
   return os.str();
 }
+
+namespace {
 
 // One entry per SimulationKey: the peaks, and the report when the config fits.
 struct TunerCache {

@@ -70,6 +70,12 @@ std::string RenderTunerTable(const TunerResult& result);
 
 // ---- memoized profiling primitives (shared by the tuner and the benches) -----------------
 
+// The model's layer costs and every SessionConfig field (output-only knobs too, since a
+// cached report must equal the direct run's) as plain text, so keys never collide. The one
+// field left out is checkpoint_store, which the memoized paths refuse. Keys the profiling
+// cache below and the cluster scheduler's table of distinct job shapes (DESIGN.md §13).
+std::string SimulationKey(const Model& model, const SessionConfig& config);
+
 struct SessionProfile {
   std::vector<Bytes> peaks;         // per device
   std::optional<RunReport> report;  // set iff the configuration fits

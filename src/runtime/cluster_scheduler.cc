@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/core/tuner.h"
 #include "src/graph/model_zoo.h"
 #include "src/sim/simulator.h"
 #include "src/util/check.h"
@@ -363,23 +364,10 @@ StatusOr<SchedPolicy> SchedPolicyByName(const std::string& name) {
 
 namespace {
 
-// The host-memory footprint a job pins for its whole residency: the model state staged in
-// host memory per replica (weights, and for training gradients + optimizer state).
-// Activations and stashes churn through the same pool but are transient; the quota is a
-// *state* reservation, which is also what makes admission a pure function of the spec.
-Bytes JobHostFootprint(const Model& model, const JobSpec& job) {
-  Bytes per_replica = model.total_param_bytes();
-  if (job.kind == JobKind::kTraining) {
-    per_replica += model.total_grad_bytes() + model.total_opt_state_bytes();
-  }
-  return per_replica * (IsDataParallel(job.scheme) ? job.gpus : 1);
-}
-
-// The inner-session configuration for one granted segment of `job`. Sub-node gangs run on
+// The inner-session configuration of `job`'s first granted segment. Sub-node gangs run on
 // a truncated single server; whole-node gangs replicate the full per-node shape behind
 // the NIC / rack fabric, mirroring where the gang would physically land.
-SessionConfig InnerConfig(const JobSpec& job, const ClusterSchedulerConfig& config,
-                          int iterations) {
+SessionConfig InnerConfig(const JobSpec& job, const ClusterSchedulerConfig& config) {
   SessionConfig inner;
   inner.server = config.server;
   const int node_gpus = config.server.num_gpus;
@@ -397,11 +385,18 @@ SessionConfig InnerConfig(const JobSpec& job, const ClusterSchedulerConfig& conf
   inner.scheme = job.scheme;
   inner.microbatches = job.microbatches;
   inner.microbatch_size = job.microbatch_size;
-  inner.iterations = iterations;
+  inner.iterations = job.iterations;
   inner.pack_size = 1;
   inner.uplink_bw_fraction = config.quotas.For(job.tenant).bw_fraction;
   return inner;
 }
+
+// One distinct inner session of a stream, shared by every job with its SimulationKey. Its
+// machine is the gang: config.num_nodes nodes of config.server.num_gpus GPUs each.
+struct Shape {
+  const Model* model = nullptr;  // entry in ClusterScheduler::models_
+  SessionConfig config;          // the first segment's session, validated at admission
+};
 
 // The slice of an inner-session result the stream layer keeps (the full SessionResult
 // holds the plan and per-device vectors — far more than the scheduler needs).
@@ -416,8 +411,16 @@ struct InnerRun {
   std::vector<double> iter_ends;  // per-iteration end times, relative to segment start
 };
 
-InnerRun RunInner(const Model& model, const SessionConfig& config) {
-  const SessionResult result = RunTraining(model, config);
+// Runs `iterations` of `shape`'s session; a preemption drain of a training job also
+// commits a checkpoint at its last iteration (serving state is immutable).
+InnerRun RunInner(const Shape& shape, int iterations, bool checkpoint) {
+  SessionConfig config = shape.config;
+  config.iterations = iterations;
+  if (checkpoint) {
+    config.checkpoint_every = iterations;
+    config.checkpoint_final = true;  // normally the last iteration skips its checkpoint
+  }
+  const SessionResult result = RunTraining(*shape.model, config);
   HCHECK(!result.report.failed) << "inner session failed without faults armed: "
                                 << result.report.failure_kind;
   InnerRun run;
@@ -444,7 +447,7 @@ enum class Phase { kPending, kQueued, kRunning, kDraining, kDone };
 
 struct JobState {
   JobSpec spec;
-  Model model = Model("", 0);
+  const Shape* shape = nullptr;  // entry in ClusterScheduler::shapes_
   Bytes footprint = 0;
   double reservation = 0.0;  // bw share counted by admission (0 when unreserved)
   Phase phase = Phase::kPending;
@@ -452,7 +455,6 @@ struct JobState {
   double enqueue_time = 0.0;
   int iterations_done = 0;
   std::vector<int> nodes;  // nodes held while kRunning / kDraining
-  int gpus_per_held_node = 0;
   double seg_start = 0.0;
   int seg_planned = 0;
   InnerRun seg_run;
@@ -462,23 +464,28 @@ struct JobState {
 
 class ClusterScheduler {
  public:
-  ClusterScheduler(std::vector<JobState> jobs, const ClusterSchedulerConfig& config)
-      : config_(config),
-        node_free_(static_cast<std::size_t>(config.num_nodes), config.server.num_gpus),
-        node_reserved_(static_cast<std::size_t>(config.num_nodes), 0.0),
-        jobs_(std::move(jobs)) {}
+  explicit ClusterScheduler(const ClusterSchedulerConfig& config) : config_(config) {}
+
+  // The admission pass (DESIGN.md §13), in submission order. Only validated models and
+  // shapes are remembered, so the error names the first failing job, as a per-job check would.
+  Status Admit(const std::vector<JobSpec>& jobs);
 
   ClusterReport Run() {
     // Arrival order is fixed up front, and same-time events run in scheduling order, so
-    // every grant decision is a pure function of the job list (DESIGN.md §10).
+    // every grant decision is a pure function of the job list (DESIGN.md §10). Ids follow
+    // (arrival, submission) order: they are queue-stable tie-breakers and name report rows.
+    std::ranges::stable_sort(jobs_, {}, [](const JobState& j) { return j.spec.arrival; });
+    node_free_.assign(static_cast<std::size_t>(config_.num_nodes), config_.server.num_gpus);
+    node_reserved_.assign(static_cast<std::size_t>(config_.num_nodes), 0.0);
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
       const int id = static_cast<int>(i);
+      jobs_[i].spec.id = id;
       sim_.ScheduleAt(jobs_[i].spec.arrival, [this, id] { OnArrival(id); });
     }
     sim_.RunUntilIdle();
 
     ClusterReport report;
-    // ValidateJobs bounds the widened product by kMaxClusterGpus, so the narrowing fits.
+    // Admission bounds the widened product by kMaxClusterGpus, so the narrowing fits.
     report.total_gpus =
         static_cast<int>(std::int64_t{config_.num_nodes} * config_.server.num_gpus);
     report.num_nodes = config_.num_nodes;
@@ -494,6 +501,7 @@ class ClusterScheduler {
       for (const SegmentOutcome& seg : job.out.segments) {
         report.gpu_seconds_busy += seg.duration * static_cast<double>(job.spec.gpus);
       }
+      job.out.spec = job.spec;
       report.jobs.push_back(std::move(job.out));
     }
     if (report.makespan > 0.0 && report.total_gpus > 0) {
@@ -580,36 +588,22 @@ class ClusterScheduler {
     return used + job.footprint > quota.host_mem_bytes;
   }
 
-  // First-fit gang placement over `free` / `reserved` (lowest node indices win):
-  // sub-node gangs take the first node with enough free GPUs and bandwidth headroom;
-  // whole-node gangs take the first k fully-free nodes.
+  // First-fit gang placement over `free` / `reserved` (lowest node indices win): the first
+  // nodes of the gang's count with its GPUs free and, for a reservation, bandwidth headroom.
+  // A whole-node gang needs fully-free nodes.
   bool FindPlacement(const JobState& job, const std::vector<int>& free,
                      const std::vector<double>& reserved, std::vector<int>* nodes) const {
+    const SessionConfig& gang = job.shape->config;
     nodes->clear();
-    const int node_gpus = config_.server.num_gpus;
-    const bool headroom_needed = job.reservation > 0.0;
-    if (job.spec.gpus <= node_gpus) {
-      for (int n = 0; n < config_.num_nodes; ++n) {
-        if (free[static_cast<std::size_t>(n)] >= job.spec.gpus &&
-            (!headroom_needed ||
-             reserved[static_cast<std::size_t>(n)] + job.reservation <=
-                 1.0 + kReservationEps)) {
-          nodes->push_back(n);
-          return true;
-        }
-      }
-      return false;
-    }
-    const int k = job.spec.gpus / node_gpus;
-    for (int n = 0; n < config_.num_nodes && static_cast<int>(nodes->size()) < k; ++n) {
-      if (free[static_cast<std::size_t>(n)] == node_gpus &&
-          (!headroom_needed ||
-           reserved[static_cast<std::size_t>(n)] + job.reservation <=
-               1.0 + kReservationEps)) {
+    for (int n = 0; n < config_.num_nodes && static_cast<int>(nodes->size()) < gang.num_nodes;
+         ++n) {
+      if (free[static_cast<std::size_t>(n)] >= gang.server.num_gpus &&
+          (job.reservation == 0.0 ||
+           reserved[static_cast<std::size_t>(n)] + job.reservation <= 1.0 + kReservationEps)) {
         nodes->push_back(n);
       }
     }
-    if (static_cast<int>(nodes->size()) == k) {
+    if (static_cast<int>(nodes->size()) == gang.num_nodes) {
       return true;
     }
     nodes->clear();
@@ -673,7 +667,7 @@ class ClusterScheduler {
     for (int id : victims) {
       const JobState& victim = jobs_[static_cast<std::size_t>(id)];
       for (int n : victim.nodes) {
-        free[static_cast<std::size_t>(n)] += victim.gpus_per_held_node;
+        free[static_cast<std::size_t>(n)] += victim.shape->config.server.num_gpus;
         reserved[static_cast<std::size_t>(n)] -= victim.reservation;
       }
       chosen.push_back(id);
@@ -710,12 +704,7 @@ class ClusterScheduler {
       return;
     }
     ++job->epoch;  // cancels the scheduled completion
-    SessionConfig drain = InnerConfig(job->spec, config_, cut);
-    if (job->spec.kind == JobKind::kTraining) {
-      drain.checkpoint_every = cut;   // commit a checkpoint at the cut boundary...
-      drain.checkpoint_final = true;  // ...even though the cut is the drain's last iteration
-    }
-    const InnerRun rerun = RunInner(job->model, drain);
+    const InnerRun rerun = RunInner(*job->shape, cut, job->spec.kind == JobKind::kTraining);
     // The drain replays the identical event sequence up to the cut, then commits the
     // checkpoint; the gang is held to the later of that commit and the decision point.
     const double release = std::max(now, job->seg_start + rerun.makespan);
@@ -734,7 +723,7 @@ class ClusterScheduler {
     const double now = sim_.now();
     const int remaining = job->spec.iterations - job->iterations_done;
     HCHECK_GT(remaining, 0);
-    job->seg_run = RunInner(job->model, InnerConfig(job->spec, config_, remaining));
+    job->seg_run = RunInner(*job->shape, remaining, /*checkpoint=*/false);
     job->seg_start = now;
     job->seg_planned = remaining;
     job->out.queue_wait += now - job->enqueue_time;
@@ -749,9 +738,8 @@ class ClusterScheduler {
     // uses for fail-stop recovery).
     job->pending.restore = job->iterations_done > 0 ? job->seg_run.iter0_state_swap_in : 0;
     job->nodes = nodes;
-    job->gpus_per_held_node = std::min(job->spec.gpus, config_.server.num_gpus);
     for (int n : nodes) {
-      node_free_[static_cast<std::size_t>(n)] -= job->gpus_per_held_node;
+      node_free_[static_cast<std::size_t>(n)] -= job->shape->config.server.num_gpus;
       HCHECK_GE(node_free_[static_cast<std::size_t>(n)], 0);
       node_reserved_[static_cast<std::size_t>(n)] += job->reservation;
     }
@@ -785,11 +773,10 @@ class ClusterScheduler {
 
   void ReleaseGang(JobState* job) {
     for (int n : job->nodes) {
-      node_free_[static_cast<std::size_t>(n)] += job->gpus_per_held_node;
+      node_free_[static_cast<std::size_t>(n)] += job->shape->config.server.num_gpus;
       node_reserved_[static_cast<std::size_t>(n)] -= job->reservation;
     }
     job->nodes.clear();
-    job->gpus_per_held_node = 0;
   }
 
   static double NearestRankP99(std::vector<double> values) {
@@ -845,109 +832,120 @@ class ClusterScheduler {
   }
 
   ClusterSchedulerConfig config_;
+  // Map nodes never move, so jobs point at their shapes and shapes at their models.
+  std::map<std::string, Model> models_;  // by zoo name
+  std::map<std::string, Shape> shapes_;  // by SimulationKey; only shapes that validated
   Simulator sim_;
   std::vector<int> node_free_;
   std::vector<double> node_reserved_;
-  std::vector<JobState> jobs_;
+  std::vector<JobState> jobs_;  // submission order until Run sorts them by arrival
   std::vector<int> queue_;  // job ids currently queued (unsorted; QueueOrder sorts)
   int draining_ = 0;
 };
 
-}  // namespace
-
-Status ValidateJobs(const std::vector<JobSpec>& jobs,
-                    const ClusterSchedulerConfig& config) {
-  if (config.num_nodes < 1) {
+Status ClusterScheduler::Admit(const std::vector<JobSpec>& jobs) {
+  if (config_.num_nodes < 1) {
     return InvalidArgumentError("cluster needs nodes >= 1, got " +
-                                std::to_string(config.num_nodes));
+                                std::to_string(config_.num_nodes));
+  }
+  // Every gang check below divides by the node size.
+  if (config_.server.num_gpus < 1) {
+    return InvalidArgumentError("cluster needs gpus per node >= 1, got " +
+                                std::to_string(config_.server.num_gpus));
   }
   // Widen before multiplying: each factor may legitimately be up to 1<<20, so the int
   // product overflows. Bounding here (not just in ParseClusterSpec) covers library
   // callers that build the config directly.
-  if (std::int64_t{config.num_nodes} * config.server.num_gpus > kMaxClusterGpus) {
+  if (std::int64_t{config_.num_nodes} * config_.server.num_gpus > kMaxClusterGpus) {
     return InvalidArgumentError(
-        "cluster of " + std::to_string(config.num_nodes) + " nodes x " +
-        std::to_string(config.server.num_gpus) +
+        "cluster of " + std::to_string(config_.num_nodes) + " nodes x " +
+        std::to_string(config_.server.num_gpus) +
         " GPUs exceeds the supported maximum of " + std::to_string(kMaxClusterGpus) +
         " total GPUs");
   }
-  const int node_gpus = config.server.num_gpus;
+  const int node_gpus = config_.server.num_gpus;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const JobSpec& job = jobs[i];
-    const std::string label = "job " + std::to_string(i) + " (" + job.ToString() + "): ";
+    const auto reject = [&](const std::string& why) {
+      return InvalidArgumentError("job " + std::to_string(i) + " (" + job.ToString() + "): " + why);
+    };
     if (!ValidTenantName(job.tenant)) {
-      return InvalidArgumentError(label + "invalid tenant name");
+      return reject("invalid tenant name");
     }
     if (!(job.arrival >= 0.0) || !std::isfinite(job.arrival)) {
-      return InvalidArgumentError(label + "arrival must be a finite time >= 0");
+      return reject("arrival must be a finite time >= 0");
     }
     if ((job.kind == JobKind::kServing) != (job.scheme == Scheme::kServing)) {
-      return InvalidArgumentError(label +
-                                  "serving jobs (and only serving jobs) use the serving "
-                                  "scheme");
+      return reject("serving jobs (and only serving jobs) use the serving scheme");
     }
     if (job.priority < 0) {
-      return InvalidArgumentError(label + "priority must be >= 0");
+      return reject("priority must be >= 0");
     }
     if (job.gpus < 1) {
-      return InvalidArgumentError(label + "gpus must be >= 1");
+      return reject("gpus must be >= 1");
     }
     if (job.gpus > node_gpus) {
       if (job.gpus % node_gpus != 0) {
-        return InvalidArgumentError(
-            label + "multi-node gangs must be whole-node multiples of gpus_per_node (" +
-            std::to_string(node_gpus) + "), got " + std::to_string(job.gpus));
+        return reject("multi-node gangs must be whole-node multiples of gpus_per_node (" +
+                      std::to_string(node_gpus) + "), got " + std::to_string(job.gpus));
       }
-      if (job.gpus / node_gpus > config.num_nodes) {
-        return InvalidArgumentError(label + "gang of " + std::to_string(job.gpus) +
-                                    " GPUs exceeds the cluster (" +
-                                    std::to_string(config.num_nodes) + " nodes x " +
-                                    std::to_string(node_gpus) + " GPUs)");
+      if (job.gpus / node_gpus > config_.num_nodes) {
+        return reject("gang of " + std::to_string(job.gpus) + " GPUs exceeds the cluster (" +
+                      std::to_string(config_.num_nodes) + " nodes x " +
+                      std::to_string(node_gpus) + " GPUs)");
       }
     }
-    const StatusOr<Model> model = ModelByName(job.model);
-    if (!model.ok()) {
-      return InvalidArgumentError(label + model.status().message());
+    auto model = models_.find(job.model);
+    if (model == models_.end()) {
+      StatusOr<Model> built = ModelByName(job.model);
+      if (!built.ok()) {
+        return reject(built.status().message());
+      }
+      model = models_.emplace(job.model, std::move(built).value()).first;
     }
-    const SessionConfig inner = InnerConfig(job, config, job.iterations);
-    const Status valid = ValidateSessionConfig(model.value(), inner);
-    if (!valid.ok()) {
-      return InvalidArgumentError(label + valid.message());
+    SessionConfig inner = InnerConfig(job, config_);
+    std::string key = SimulationKey(model->second, inner);
+    auto shape = shapes_.find(key);
+    if (shape == shapes_.end()) {
+      const Status valid = ValidateSessionConfig(model->second, inner);
+      if (!valid.ok()) {
+        return reject(valid.message());
+      }
+      shape = shapes_.emplace(std::move(key), Shape{&model->second, std::move(inner)}).first;
     }
-    const TenantQuota& quota = config.quotas.For(job.tenant);
-    if (quota.host_mem_bytes >= 0 &&
-        JobHostFootprint(model.value(), job) > quota.host_mem_bytes) {
-      return InvalidArgumentError(
-          label + "job state footprint " +
-          FormatBytes(JobHostFootprint(model.value(), job)) +
-          " exceeds tenant '" + job.tenant + "' host-memory quota " +
-          FormatBytes(quota.host_mem_bytes) + " — the job could never be admitted");
+    JobState& state = jobs_.emplace_back();
+    state.spec = job;
+    state.shape = &shape->second;
+    // The host-memory footprint a job pins for its whole residency: the model state staged
+    // in host memory per replica (weights, and for training gradients + optimizer state).
+    // Activations and stashes churn through the same pool but are transient; the quota is a
+    // *state* reservation, which is also what makes admission a pure function of the spec.
+    state.footprint = model->second.total_param_bytes();
+    if (job.kind == JobKind::kTraining) {
+      state.footprint += model->second.total_grad_bytes() + model->second.total_opt_state_bytes();
     }
+    state.footprint *= IsDataParallel(job.scheme) ? job.gpus : 1;
+    const TenantQuota& quota = config_.quotas.For(job.tenant);
+    if (quota.host_mem_bytes >= 0 && state.footprint > quota.host_mem_bytes) {
+      return reject("job state footprint " + FormatBytes(state.footprint) + " exceeds tenant '" +
+                    job.tenant + "' host-memory quota " + FormatBytes(quota.host_mem_bytes) +
+                    " — the job could never be admitted");
+    }
+    state.reservation = quota.bw_fraction < 1.0 ? quota.bw_fraction : 0.0;
   }
   return Status::Ok();
 }
 
+}  // namespace
+
+Status ValidateJobs(const std::vector<JobSpec>& jobs, const ClusterSchedulerConfig& config) {
+  return ClusterScheduler(config).Admit(jobs);
+}
+
 StatusOr<ClusterReport> RunJobStream(std::vector<JobSpec> jobs,
                                      const ClusterSchedulerConfig& config) {
-  HARMONY_RETURN_IF_ERROR(ValidateJobs(jobs, config));
-  // Re-index in (arrival, submission) order: job ids are queue-stable tie-breakers and
-  // name the rows of the report.
-  std::stable_sort(jobs.begin(), jobs.end(),
-                   [](const JobSpec& a, const JobSpec& b) { return a.arrival < b.arrival; });
-  std::vector<JobState> states;
-  states.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    JobState state;
-    state.spec = jobs[i];
-    state.spec.id = static_cast<int>(i);
-    state.model = ModelByName(state.spec.model).value();
-    state.footprint = JobHostFootprint(state.model, state.spec);
-    const double bw = config.quotas.For(state.spec.tenant).bw_fraction;
-    state.reservation = bw < 1.0 ? bw : 0.0;
-    state.out.spec = state.spec;
-    states.push_back(std::move(state));
-  }
-  ClusterScheduler scheduler(std::move(states), config);
+  ClusterScheduler scheduler(config);
+  HARMONY_RETURN_IF_ERROR(scheduler.Admit(jobs));
   return scheduler.Run();
 }
 

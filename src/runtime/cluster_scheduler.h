@@ -9,8 +9,9 @@
 // Composition model: every granted segment runs as its own inner session (RunTraining),
 // exactly the per-segment structure RunTrainingElastic uses for fail-stop recovery. The
 // outer simulator carries only the stream events (arrivals, completions, preemption
-// releases), so the stream layer is a pure function of the inner sessions' results. Co-located tenants are isolated by *reservation*, not
-// modeled contention: a tenant's bandwidth quota is applied inside its own sessions
+// releases), so the stream layer is a pure function of the inner sessions' results.
+// Co-located tenants are isolated by *reservation*, not modeled contention: a tenant's
+// bandwidth quota is applied inside its own sessions
 // (TransferManager::ApplyUplinkBandwidthQuota) and admission keeps the sum of reserved
 // shares per node <= 1; tenants without a reservation are best-effort and their mutual
 // interference is deliberately unmodeled (the idealization that keeps per-tenant runs
@@ -195,9 +196,9 @@ struct ClusterReport {
 std::string ClusterReportToJson(const ClusterReport& report);
 Status WriteClusterReportJson(const ClusterReport& report, const std::string& path);
 
-// Validates a job list against the cluster shape and quota map with typed messages
-// (model resolves, gang size placeable, the per-job session config valid). Run before
-// RunJobStream to surface bad specs as a Status instead of a crash.
+// RunJobStream's admission pass (DESIGN.md §13): typed errors for a bad cluster shape or
+// job (model, gang size, inner session, quota), naming the first failing job in submission
+// order. Each distinct inner session is checked once.
 Status ValidateJobs(const std::vector<JobSpec>& jobs, const ClusterSchedulerConfig& config);
 
 // Runs the job stream to completion and returns the per-tenant / per-job report.

@@ -262,6 +262,49 @@ TEST(ValidateJobsTest, RejectsBadGangsModelsAndHopelessQuotas) {
   }
 }
 
+TEST(ValidateJobsTest, RejectsNodesWithoutGpusBeforeAnyGangCheck) {
+  // Gang checks divide by the node size, so a node size below one GPU must be reported
+  // as a cluster-shape error before any job is looked at, jobs or not.
+  for (const int gpus_per_node : {0, -2}) {
+    const ClusterSchedulerConfig config = SmallCluster(/*nodes=*/2, gpus_per_node);
+    for (const std::vector<JobSpec>& jobs :
+         {std::vector<JobSpec>{}, std::vector<JobSpec>{TrainJob(0, "a", 1, 2)}}) {
+      const Status bad = ValidateJobs(jobs, config);
+      ASSERT_FALSE(bad.ok()) << gpus_per_node;
+      EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(bad.message(),
+                "cluster needs gpus per node >= 1, got " + std::to_string(gpus_per_node));
+      EXPECT_EQ(RunJobStream(jobs, config).status().ToString(), bad.ToString());
+    }
+  }
+}
+
+TEST(ValidateJobsTest, FirstJobOfAFailingShapeNamesTheError) {
+  // Admission validates each distinct inner session once. Jobs 0-2 share a feasible
+  // shape; jobs 3 and 4 share one whose single-task working set exceeds the GPU. The
+  // error must still name the first failing job in submission order.
+  const ClusterSchedulerConfig config = SmallCluster(/*nodes=*/1, /*gpus_per_node=*/4);
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < 5; ++i) {
+    jobs.push_back(TrainJob(i, "a", 2, 2));
+  }
+  jobs[3].microbatch_size = 4096;
+  jobs[4].microbatch_size = 4096;
+  const Status bad = ValidateJobs(jobs, config);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.message().rfind("job 3 (", 0), 0u) << bad.message();
+  EXPECT_NE(bad.message().find("infeasible configuration"), std::string::npos)
+      << bad.message();
+  EXPECT_EQ(RunJobStream(jobs, config).status().ToString(), bad.ToString());
+
+  // Arrival, an unquota'd tenant and priority are not part of the shape: all one shape.
+  std::vector<JobSpec> same_shape;
+  for (int i = 0; i < 5; ++i) {
+    same_shape.push_back(TrainJob(4 - i, "tenant" + std::to_string(i % 2), 2, 2, i % 3));
+  }
+  EXPECT_TRUE(ValidateJobs(same_shape, config).ok());
+}
+
 // ---- 2. serving plans -------------------------------------------------------------------
 
 TEST(ServingTest, PlansAreForwardOnly) {

@@ -137,6 +137,12 @@ infeasible=(--gpu_memory_gib=0.5 --model=gpt2-xl --pack_size=8 --microbatch_size
 expect_invalid "infeasible configuration" "${infeasible[@]}"
 expect_invalid "infeasible configuration" "${infeasible[@]}" --lint
 expect_invalid "infeasible configuration" "${infeasible[@]}" --faults=fail@1:gpu0
+# Scheduler mode: a node size below one GPU is rejected before any gang arithmetic.
+expect_invalid "gpus per node >= 1, got 0" --sched=fifo --gpus=0 --jobs=train@0
+expect_invalid "gpus per node >= 1, got -2" --sched=fifo --gpus=-2 --jobs=train@0
+# Admission validates each distinct job shape once: the first job of the failing shape,
+# in submission order, names the error.
+expect_invalid "job 1 (" --sched=fifo --jobs='train@0;train@1:mbs=4096;train@2:mbs=4096'
 
 # Unknown flags are rejected up front with the full usage text.
 err=$("$sim" --no_such_flag=1 2>&1 >/dev/null)
